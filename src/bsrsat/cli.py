@@ -18,7 +18,7 @@ from .decide import (NaiveBudgetError, ResourceLimitError, decide,
                      naive_decide)
 from .normalize import NormalFormError, normalize
 from .parser import (ParseError, parse_clause_set, parse_goal, parse_ta,
-                     print_clause_set, print_ta)
+                     print_clause_set)
 from .ramsey import ColoringOracle, check_mono_ascending, check_mono_mapped, \
     mono_ascending, mono_mapped
 from .regions import (PartitionJ, SlrClass, enumerate_bd_bounded,

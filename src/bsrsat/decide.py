@@ -19,19 +19,18 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .linarith import GroundSystem, solve_ground
 from .normalize import NormalizedClauseSet, validate_normal_form
 from .propsat import PropInstance
 from .propsat import solve as _dpll
 from .regions import (
-    BUCKET_ABOVE,
-    BUCKET_BELOW,
-    BUCKET_IN,
-    BdUnboundedClass,
     PartitionJ,
+    check_holds,
     class_of_bd,
     class_of_slr,
+    compile_checks,
     enumerate_bd_unbounded,
     enumerate_slr_classes,
     ordered_set_partitions,
@@ -49,7 +48,6 @@ from .terms import (
     MODE_SLR,
     ClauseSet,
     DeltaEq,
-    DiffConst,
     Equation,
     FragmentError,
     FreeTerm,
@@ -58,7 +56,6 @@ from .terms import (
     Relation,
     SkolemDef,
     VarConst,
-    VarVar,
     eval_clause,
     eval_constraint,
 )
@@ -140,64 +137,16 @@ class _DescriptorModel:
         return d.table.get(PropAtom(pred, tuple(free_args), cls), False)
 
 
-# --- combinatorial constraint evaluation on class encodings ----------------
-
-
-def _rel_sign(rel: Relation, s: int) -> bool:
-    if rel is Relation.LT:
-        return s < 0
-    if rel is Relation.LE:
-        return s <= 0
-    if rel is Relation.EQ:
-        return s == 0
-    if rel is Relation.NEQ:
-        return s != 0
-    if rel is Relation.GE:
-        return s >= 0
-    return s > 0
-
-
-def _bd_cmp_const(cls, i: int, c: Fraction) -> int:
-    """Sign of (coordinate i - c), class-determined for integer |c| <= kappa."""
-    if isinstance(cls, BdUnboundedClass):
-        bk = cls.bucket(i)
-        if bk == BUCKET_BELOW:
-            return -1
-        if bk == BUCKET_ABOVE:
-            return 1
-    f = cls.floors[i]
-    if f < c:
-        return -1
-    if f > c:
-        return 1
-    return 0 if i in cls.zero else 1
-
-
-def _bd_cmp_diff(cls, i: int, j: int, c: Fraction) -> int:
-    """Sign of (coord i - coord j - c); needs both coordinates in range,
-    which the difference-bound guard discipline guarantees whenever the
-    surrounding bounds hold."""
-    if i == j:
-        return (c < 0) - (c > 0)
-    if isinstance(cls, BdUnboundedClass):
-        assert cls.bucket(i) == BUCKET_IN and cls.bucket(j) == BUCKET_IN
-    d = cls.floors[i] - cls.floors[j]
-    fc = cls.fr_cmp(i, j)
-    if fc == 0:
-        return (d > c) - (d < c)
-    if fc > 0:
-        return 1 if d >= c else -1
-    return 1 if d - 1 >= c else -1
-
-
 # --- grounding context ------------------------------------------------------
 
 
 class _Context:
     """One fully fixed arithmetic side: mode plus gamma plus kappa/partition.
 
-    Class streams are materialized lazily and cached per (arity, hints);
-    hints are per-coordinate floor clamps extracted from premise bounds.
+    Class streams are generated afresh on every request and kept by no
+    one: the checks that prune them (compiled premise constraints,
+    ``regions.compile_checks``; none for the full stream) differ from
+    clause to clause, so a stream is rarely asked for twice.
     """
 
     def __init__(self, mode, gamma, kappa=None, partition=None):
@@ -205,29 +154,14 @@ class _Context:
         self.gamma = gamma
         self.kappa = kappa
         self.partition = partition
-        self._streams: dict = {}
 
-    def classes(self, arity: int, hints=None) -> list:
-        key = (arity, hints)
-        if key not in self._streams:
-            if self.mode == MODE_SLR:
-                lst = list(enumerate_slr_classes(arity, self.partition))
-            elif hints is None:
-                lst = list(enumerate_bd_unbounded(arity, self.kappa))
-            else:
-                lo, hi = hints
-                lst = list(
-                    enumerate_bd_unbounded(
-                        arity,
-                        self.kappa,
-                        allow_below=[b is None for b in lo],
-                        allow_above=[b is None for b in hi],
-                        floor_lo=[-self.kappa if b is None else b for b in lo],
-                        floor_hi=[self.kappa if b is None else b for b in hi],
-                    )
-                )
-            self._streams[key] = lst
-        return self._streams[key]
+    def classes(self, arity: int, checks=()) -> Iterator:
+        if self.mode == MODE_SLR:
+            return enumerate_slr_classes(arity, self.partition, checks)
+        return enumerate_bd_unbounded(arity, self.kappa, checks)
+
+    def checks(self, constraints, vidx) -> list[tuple]:
+        return compile_checks(self.mode, constraints, vidx, self.gamma, self.partition)
 
     def rep(self, cls) -> tuple[Fraction, ...]:
         return representative(cls, self.partition)
@@ -252,41 +186,6 @@ def _make_context(N: NormalizedClauseSet, gamma=None) -> _Context:
     return _Context(MODE_SLR, gamma, partition=PartitionJ.make(points))
 
 
-def _floor_hints(bounds, nvars: int, vidx) -> tuple | None:
-    """Per-coordinate floor clamps implied by rational variable bounds.
-
-    Sound to restrict the class stream by: every member of an excluded
-    class violates one of the bounds, so the clause holds there anyway.
-    """
-    lo: list[int | None] = [None] * nvars
-    hi: list[int | None] = [None] * nvars
-    for c in bounds:
-        b = c.bound.offset
-        if b.denominator != 1:
-            continue
-        i = vidx[c.var]
-        bi = int(b)
-        if c.rel in (Relation.GE, Relation.GT, Relation.EQ):
-            lo[i] = bi if lo[i] is None else max(lo[i], bi)
-        if c.rel in (Relation.LE, Relation.EQ):
-            hi[i] = bi if hi[i] is None else min(hi[i], bi)
-        elif c.rel is Relation.LT:
-            hi[i] = bi - 1 if hi[i] is None else min(hi[i], bi - 1)
-    if all(b is None for b in lo) and all(b is None for b in hi):
-        return None
-    return tuple(lo), tuple(hi)
-
-
-def _clause_hints(mode: str, cl, bvars) -> tuple | None:
-    if mode != MODE_BD:
-        return None
-    vidx = {v: i for i, v in enumerate(bvars)}
-    bounds = [
-        c for c in cl.lam if isinstance(c, VarConst) and c.bound.is_rational
-    ]
-    return _floor_hints(bounds, len(bvars), vidx)
-
-
 # --- clause grounding -------------------------------------------------------
 
 
@@ -301,60 +200,20 @@ class _GClause:
     rows: list[tuple]  # per surviving class: selected class per skeleton
 
 
-def _compile_checks(ctx: _Context, var_cons, vidx):
-    """Premise constraints as integer comparisons on class encodings.
-
-    Bounds come first so that difference comparisons, which assume their
-    coordinates are in range, only run once the guard bounds held.
-    """
-    checks = []
-    for c in var_cons:
-        if isinstance(c, VarConst):
-            if ctx.mode == MODE_SLR:
-                tv = c.bound.evaluate(ctx.gamma)
-                pidx = ctx.partition.point_interval_index(tv)
-                checks.append(("slr_const", c.rel, vidx[c.var], pidx))
-            else:
-                b = c.bound.offset
-                if b.denominator != 1:
-                    raise FragmentError(
-                        f"difference-bound grounding needs integer constants, got {b}"
-                    )
-                checks.append(("bd_const", c.rel, vidx[c.var], b))
-    for c in var_cons:
-        if isinstance(c, VarVar):
-            checks.append(("varvar", c.rel, vidx[c.var], vidx[c.other]))
-    for c in var_cons:
-        if isinstance(c, DiffConst):
-            if c.const.denominator != 1:
-                raise FragmentError(
-                    f"difference-bound grounding needs integer constants, got {c.const}"
-                )
-            checks.append(("diff", c.rel, vidx[c.var], vidx[c.other], c.const))
-    return checks
-
-
 def _class_ok(cls, checks) -> bool:
-    for ch in checks:
-        kind, rel = ch[0], ch[1]
-        if kind == "bd_const":
-            s = _bd_cmp_const(cls, ch[2], ch[3])
-        elif kind == "slr_const":
-            d = cls.coord_interval(ch[2]) - ch[3]
-            s = (d > 0) - (d < 0)
-        elif kind == "varvar":
-            s = cls.value_cmp(ch[2], ch[3])
-        else:
-            s = _bd_cmp_diff(cls, ch[2], ch[3], ch[4])
-        if not _rel_sign(rel, s):
-            return False
-    return True
+    """Whether every premise check holds on the class."""
+    cells = cls.cells()
+    return all(check_holds(ch, cells) for ch in checks)
 
 
 def _ground_clause(ctx: _Context, cl, stats: SolveStats) -> _GClause | None:
     """Candidate-independent grounding; None when the clause can never
     constrain a candidate (a ground premise conjunct is false, or no
-    region class satisfies the variable premise)."""
+    region class satisfies the variable premise).
+
+    The class stream is pruned by all premise checks; ``_class_ok`` still
+    judges every class it yields.
+    """
     for c in cl.lam:
         if isinstance(c, DeltaEq):
             raise FragmentError("delay equations must be lowered before deciding")
@@ -365,9 +224,8 @@ def _ground_clause(ctx: _Context, cl, stats: SolveStats) -> _GClause | None:
     var_cons = [c for c in cl.lam if not isinstance(c, (GroundCmp, SkolemDef))]
     bvars = cl.base_vars()
     vidx = {v: i for i, v in enumerate(bvars)}
-    checks = _compile_checks(ctx, var_cons, vidx)
-    hints = _clause_hints(ctx.mode, cl, bvars)
-    stream = ctx.classes(len(bvars), hints)
+    checks = ctx.checks(var_cons, vidx)
+    stream = list(ctx.classes(len(bvars), checks))
     stats.classes += len(stream)
     survivors = [cls for cls in stream if _class_ok(cls, checks)]
     if not survivors:
@@ -381,8 +239,12 @@ def _ground_clause(ctx: _Context, cl, stats: SolveStats) -> _GClause | None:
                 skel.append(
                     (sign, a.pred, a.free_args, tuple(vidx[v] for v in a.base_args))
                 )
+    # One object per distinct selected class, shared by all rows: there are
+    # far fewer of them than rows, and the rows live as long as the context.
+    shared: dict = {}
     rows = dict.fromkeys(
-        tuple(select_class(cls, s[3]) for s in skel) for cls in survivors
+        tuple(shared.setdefault(sc, sc) for sc in (select_class(cls, s[3]) for s in skel))
+        for cls in survivors
     )
     return _GClause(
         cl.free_vars(),
@@ -424,25 +286,6 @@ def _instantiate(gclauses, domain, assign):
                 seen.add(key)
                 clauses.append(tuple(lits))
     return PropInstance(len(atom_ids), clauses), atom_ids
-
-
-def ground_to_prop(
-    N: NormalizedClauseSet, domain, fconst_assign, gamma=None
-) -> PropInstance:
-    """Propositional reduction of N for one candidate interpretation."""
-    ctx = _make_context(N, gamma)
-    stats = SolveStats()
-    gclauses = []
-    for cl in N.as_clause_set().clauses:
-        g = _ground_clause(ctx, cl, stats)
-        if g is not None:
-            gclauses.append(g)
-    inst, _ = _instantiate(gclauses, tuple(domain), dict(fconst_assign))
-    return inst
-
-
-def prop_solve(inst: PropInstance) -> dict[int, bool] | None:
-    return _dpll(inst)
 
 
 # --- preorder enumeration (slr) --------------------------------------------
@@ -651,16 +494,19 @@ def _decide_inner(N, stats, counters, max_candidates, symmetry) -> ResultReport:
 
 def verify_model(N: NormalizedClauseSet, desc: InterpretationDescriptor) -> bool:
     """Semantic check of every clause on every class representative and
-    free assignment.  Classes cut off by the floor hints need no check:
-    each of their members falsifies a premise bound."""
+    free assignment.  The class streams are pruned by the premise bounds
+    only: every member of a skipped class falsifies a bound, so the clause
+    holds there; the classes that remain are judged on their
+    representatives."""
     cs = N.as_clause_set()
     ctx = _Context(desc.mode, desc.gamma, kappa=desc.kappa, partition=desc.partition)
     interp = _DescriptorModel(desc)
     for cl in cs.clauses:
         bvars = cl.base_vars()
         fvars = cl.free_vars()
-        hints = _clause_hints(desc.mode, cl, bvars)
-        for cls in ctx.classes(len(bvars), hints):
+        vidx = {v: i for i, v in enumerate(bvars)}
+        bounds = ctx.checks([c for c in cl.lam if isinstance(c, VarConst)], vidx)
+        for cls in ctx.classes(len(bvars), bounds):
             rep = ctx.rep(cls)
             for env_vals in itertools.product(desc.domain, repeat=len(fvars)):
                 assign: dict[str, object] = dict(zip(bvars, rep))
@@ -708,7 +554,7 @@ def _semantic_clauses(ctx: _Context, cs: ClauseSet, stats: SolveStats):
     out = []
     for cl in cs.clauses:
         bvars = cl.base_vars()
-        stream = ctx.classes(len(bvars), None)
+        stream = list(ctx.classes(len(bvars)))
         stats.classes += len(stream)
         rows = []
         for cls in stream:

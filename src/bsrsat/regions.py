@@ -14,6 +14,11 @@ Three families of equivalence classes make uniform model search finite:
 Each class has a canonical encoding, a deterministic representative whose
 class is the class itself, and a selection operation: reindexing a tuple
 through ``idx`` maps classes to classes.
+
+Premise constraints compile to checks on per-coordinate cells
+(``compile_checks``); ``check_holds`` is the one place that decides them,
+both on finished classes and on the partial classes that the enumerators
+prune.
 """
 
 from __future__ import annotations
@@ -23,7 +28,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .terms import MODE_BD, MODE_SLR, Rational, RationalLike, floor_fr, rat
+from .terms import (
+    MODE_SLR,
+    DiffConst,
+    FragmentError,
+    RationalLike,
+    VarConst,
+    VarVar,
+    floor_fr,
+    rat,
+)
 
 
 class RegionRangeError(ValueError):
@@ -131,6 +145,14 @@ class SlrClass:
         a, b = self.coord_block(i), self.coord_block(j)
         return (a > b) - (a < b)
 
+    def cells(self) -> tuple[tuple[int, int], ...]:
+        """Per coordinate (block index, interval index); see ``check_holds``."""
+        out: list = [None] * self.arity
+        for bi, (iv, coords) in enumerate(self.blocks):
+            for c in coords:
+                out[c] = (bi, iv)
+        return tuple(out)
+
 
 def class_of_slr(values: Sequence[RationalLike], partition: PartitionJ) -> SlrClass:
     vals = [rat(v) for v in values]
@@ -140,25 +162,59 @@ def class_of_slr(values: Sequence[RationalLike], partition: PartitionJ) -> SlrCl
     return SlrClass(len(vals), blocks)
 
 
-def enumerate_slr_classes(arity: int, partition: PartitionJ) -> Iterator[SlrClass]:
-    """All classes, deterministically: ordered partitions, then interval maps."""
+def enumerate_slr_classes(
+    arity: int, partition: PartitionJ, checks: Sequence[tuple] = ()
+) -> Iterator[SlrClass]:
+    """All classes, deterministically: ordered partitions, then interval maps.
+
+    ``checks`` (from ``compile_checks``) prune the stream without changing
+    its order: var-var checks are decided once the ordered partition is
+    chosen, a bound once its coordinate's block has an interval.  The
+    classes skipped are exactly those on which some check fails.
+    """
     if arity == 0:
         yield SlrClass(0, ())
         return
     n_int = partition.interval_count
     for part in ordered_set_partitions(tuple(range(arity))):
-        for idxs in _interval_assignments(len(part), n_int):
-            yield SlrClass(arity, tuple((i, frozenset(b)) for i, b in zip(idxs, part)))
+        # Until the intervals are placed a cell holds only its block index,
+        # which alone orders the coordinates.
+        cells: list = [None] * arity
+        for bi, block in enumerate(part):
+            for c in block:
+                cells[c] = (bi, None)
+        if not all(check_holds(ch, cells) for ch in checks if ch[0] == "varvar"):
+            continue
+        staged: list[list[tuple]] = [[] for _ in part]
+        for ch in checks:
+            if ch[0] == "slr_const":
+                staged[cells[ch[2]][0]].append(ch)
+        fblocks = [frozenset(b) for b in part]
+        for idxs in _interval_assignments(part, n_int, cells, staged):
+            yield SlrClass(arity, tuple(zip(idxs, fblocks)))
 
 
-def _interval_assignments(nblocks: int, n_intervals: int) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing interval index sequences; point intervals never repeat."""
+def _interval_assignments(
+    blocks: Sequence[tuple[int, ...]], n_intervals: int, cells: list, staged
+) -> Iterator[tuple[int, ...]]:
+    """Nondecreasing interval index sequences; point intervals never repeat.
+
+    An interval is skipped for block ``pos`` when one of the bound checks in
+    ``staged[pos]`` fails on it; ``cells`` receives the placed intervals.
+    """
+    nblocks = len(blocks)
 
     def rec(pos: int, minimum: int) -> Iterator[tuple[int, ...]]:
         if pos == nblocks:
             yield ()
             return
+        block, bounds = blocks[pos], staged[pos]
         for idx in range(minimum, n_intervals):
+            if bounds:
+                for c in block:
+                    cells[c] = (pos, idx)
+                if not all(check_holds(ch, cells) for ch in bounds):
+                    continue
             nxt = idx + 1 if idx % 2 == 1 else idx
             for tail in rec(pos + 1, nxt):
                 yield (idx,) + tail
@@ -255,10 +311,6 @@ class BdBoundedClass:
         b = (self.floors[j], self.fr_rank(j))
         return (a > b) - (a < b)
 
-    def fr_cmp(self, i: int, j: int) -> int:
-        a, b = self.fr_rank(i), self.fr_rank(j)
-        return (a > b) - (a < b)
-
 
 BUCKET_BELOW = -1
 BUCKET_IN = 0
@@ -306,26 +358,27 @@ class BdUnboundedClass:
                 return bi
         raise IndexError(coord)
 
-    def _order_rank(self, coord: int) -> tuple:
-        bk = self.bucket(coord)
-        if bk == BUCKET_BELOW:
-            return (bk, next(i for i, b in enumerate(self.below_blocks) if coord in b))
-        if bk == BUCKET_ABOVE:
-            return (bk, next(i for i, b in enumerate(self.above_blocks) if coord in b))
-        return (bk, (self.floors[coord], self.fr_rank(coord)))
+    def cells(self) -> tuple[tuple[int, int, int], ...]:
+        """Per coordinate (bucket, floor, rank); see ``check_holds``."""
+        out: list = [None] * self.arity
+        for bucket, blocks in (
+            (BUCKET_BELOW, self.below_blocks),
+            (BUCKET_ABOVE, self.above_blocks),
+        ):
+            for rank, block in enumerate(blocks):
+                for c in block:
+                    out[c] = (bucket, 0, rank)
+        for c in self.zero:
+            out[c] = (BUCKET_IN, self.floors[c], 0)
+        for rank, block in enumerate(self.fr_blocks, start=1):
+            for c in block:
+                out[c] = (BUCKET_IN, self.floors[c], rank)
+        return tuple(out)
 
     def value_cmp(self, i: int, j: int) -> int:
         """Total, class-determined value order (Below < In < Above)."""
-        bi, bj = self.bucket(i), self.bucket(j)
-        if bi != bj:
-            return (bi > bj) - (bi < bj)
-        a, b = self._order_rank(i), self._order_rank(j)
-        return (a > b) - (a < b)
-
-    def fr_cmp(self, i: int, j: int) -> int:
-        assert self.bucket(i) == self.bucket(j) == BUCKET_IN
-        a, b = self.fr_rank(i), self.fr_rank(j)
-        return (a > b) - (a < b)
+        cells = self.cells()
+        return _cmp(cells[i], cells[j])
 
 
 BdClass = BdBoundedClass | BdUnboundedClass
@@ -424,44 +477,67 @@ def enumerate_bd_bounded(
 
 
 def enumerate_bd_unbounded(
-    arity: int,
-    kappa: int,
-    allow_below: Sequence[bool] | None = None,
-    allow_above: Sequence[bool] | None = None,
-    floor_lo: Sequence[int] | None = None,
-    floor_hi: Sequence[int] | None = None,
+    arity: int, kappa: int, checks: Sequence[tuple] = ()
 ) -> Iterator[BdUnboundedClass]:
-    allow_below = allow_below or [True] * arity
-    allow_above = allow_above or [True] * arity
-    lo = floor_lo or [-kappa] * arity
-    hi = floor_hi or [kappa] * arity
+    """All unbounded classes, deterministically: buckets, value order beyond
+    +/-kappa, fr-zero flags, fractional order, then floors.
+
+    ``checks`` (from ``compile_checks``) prune the stream without changing
+    its order.  Bounds are decided when the buckets are chosen (beyond
+    +/-kappa) or when the fr-zero flags and floors are (in range); var-var
+    and difference checks once both of their coordinates are placed, which
+    for an in-range coordinate means its floor.  The classes skipped are
+    exactly those on which some check fails.
+    """
     if arity == 0:
         yield BdUnboundedClass(0, kappa, (), frozenset(), (), (), ())
         return
     coords = tuple(range(arity))
+    bounds = [[ch for ch in checks if ch[0] == "bd_const" and ch[2] == c] for c in coords]
+    # floor_opts[c][zero]: the in-range floors of coordinate c that its
+    # bounds admit, given whether its fractional part vanishes.
+    floor_opts = [
+        [_admitted_floors(kappa, c, zero, bounds[c]) for zero in (False, True)]
+        for c in coords
+    ]
     for buckets in itertools.product((BUCKET_BELOW, BUCKET_IN, BUCKET_ABOVE), repeat=arity):
-        if any(b == BUCKET_BELOW and not allow_below[c] for c, b in zip(coords, buckets)):
+        inside = tuple(c for c in coords if buckets[c] == BUCKET_IN)
+        # Until ranks and floors are placed a cell holds only its bucket,
+        # which alone decides a bound beyond +/-kappa.
+        cells: list = [(b, 0, 0) for b in buckets]
+        if not all(
+            check_holds(ch, cells)
+            for c in coords if buckets[c] != BUCKET_IN
+            for ch in bounds[c]
+        ):
             continue
-        if any(b == BUCKET_ABOVE and not allow_above[c] for c, b in zip(coords, buckets)):
+        if not all(floor_opts[c][0] or floor_opts[c][1] for c in inside):
             continue
+        outer, staged = _stage_bd_checks(checks, inside)
         below = tuple(c for c in coords if buckets[c] == BUCKET_BELOW)
         above = tuple(c for c in coords if buckets[c] == BUCKET_ABOVE)
-        inside = tuple(c for c in coords if buckets[c] == BUCKET_IN)
         for below_part in ordered_set_partitions(below):
             below_blocks = tuple(frozenset(b) for b in below_part)
             for above_part in ordered_set_partitions(above):
                 above_blocks = tuple(frozenset(b) for b in above_part)
+                for bucket, part in ((BUCKET_BELOW, below_part), (BUCKET_ABOVE, above_part)):
+                    for rank, block in enumerate(part):
+                        for c in block:
+                            cells[c] = (bucket, 0, rank)
+                if not all(check_holds(ch, cells) for ch in outer):
+                    continue
                 for zero_sel in _subsets(inside):
                     zero = frozenset(zero_sel)
+                    ranges = [floor_opts[c][c in zero] for c in inside]
+                    if not all(ranges):
+                        continue
                     nonzero = tuple(c for c in inside if c not in zero)
                     for part in ordered_set_partitions(nonzero):
                         fr_blocks = tuple(frozenset(b) for b in part)
-                        ranges = []
-                        for c in inside:
-                            base_lo = max(-kappa, lo[c])
-                            base_hi = min(kappa if c in zero else kappa - 1, hi[c])
-                            ranges.append(range(base_lo, base_hi + 1))
-                        for floors_in in itertools.product(*ranges):
+                        ranks = dict.fromkeys(zero, 0)
+                        for rank, block in enumerate(part, start=1):
+                            ranks.update(dict.fromkeys(block, rank))
+                        for floors_in in _floor_tuples(inside, ranges, ranks, cells, staged):
                             floors: list[int | None] = [None] * arity
                             for c, f in zip(inside, floors_in):
                                 floors[c] = f
@@ -469,6 +545,64 @@ def enumerate_bd_unbounded(
                                 arity, kappa, tuple(floors), zero,
                                 fr_blocks, below_blocks, above_blocks,
                             )
+
+
+def _admitted_floors(kappa: int, c: int, zero: bool, bounds) -> Sequence[int]:
+    """In range a bound reads only the floor and whether the fractional part
+    vanishes, so the floors it admits are settled once per flag."""
+    floors = range(-kappa, (kappa if zero else kappa - 1) + 1)
+    if not bounds:
+        return floors
+    rank = 0 if zero else 1
+    return [
+        f for f in floors
+        if all(check_holds(ch, {c: (BUCKET_IN, f, rank)}) for ch in bounds)
+    ]
+
+
+def _stage_bd_checks(checks, inside):
+    """Var-var and difference checks by the point at which they are decided.
+
+    Returns the checks over coordinates beyond +/-kappa only (decided once
+    their value order is chosen) and, per in-range coordinate, the checks
+    decided when its floor is placed (their last in-range coordinate in
+    ``inside`` order).  Both keep the order of ``checks``.
+    """
+    pos = {c: k for k, c in enumerate(inside)}
+    outer: list[tuple] = []
+    staged: list[list[tuple]] = [[] for _ in inside]
+    for ch in checks:
+        if ch[0] == "bd_const":
+            continue
+        placed = [pos[c] for c in ch[2:4] if c in pos]
+        if placed:
+            staged[max(placed)].append(ch)
+        else:
+            outer.append(ch)
+    return outer, staged
+
+
+def _floor_tuples(inside, ranges, ranks, cells, staged) -> Iterator[tuple[int, ...]]:
+    """``itertools.product(*ranges)`` minus every floor prefix on which a
+    check staged at its last coordinate fails; ``cells`` receives the
+    placed floors."""
+    last = max((k for k, chs in enumerate(staged) if chs), default=-1)
+    if last < 0:
+        return itertools.product(*ranges)
+
+    def rec(k: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if k > last:
+            for tail in itertools.product(*ranges[k:]):
+                yield prefix + tail
+            return
+        c, chs = inside[k], staged[k]
+        rank = ranks[c]
+        for f in ranges[k]:
+            cells[c] = (BUCKET_IN, f, rank)
+            if all(check_holds(ch, cells) for ch in chs):
+                yield from rec(k + 1, prefix + (f,))
+
+    return rec(0, ())
 
 
 def _fr_ladder(arity: int) -> list[Fraction]:
@@ -614,28 +748,98 @@ def select_class(cls: RegionClass, idx: Sequence[int]) -> RegionClass:
     return select_bd(cls, idx)
 
 
-def enumerate_classes(
-    mode: str,
-    arity: int,
-    *,
-    partition: PartitionJ | None = None,
-    kappa: int | None = None,
-    bounded: bool = True,
-) -> Iterator[RegionClass]:
-    """Single entry point over the class families.
+# --- premise checks on class cells -----------------------------------------
+#
+# A cell describes one coordinate of a class, and cells compare like the
+# values they stand for:
+#
+# * slr: (block index, interval index), blocks ascending by value;
+# * bd: (bucket, floor, rank).  In range, rank is 0 for a vanishing
+#   fractional part and then 1, 2, ... in ascending fractional order; beyond
+#   +/-kappa, floor is 0 and rank is the coordinate's block in the ascending
+#   value order of its bucket.
+#
+# A check is a tuple: ("slr_const", rel, i, point interval index),
+# ("bd_const", rel, i, c), ("varvar", rel, i, j) or ("diff", rel, i, j, c),
+# for x_i rel point, x_i rel c, x_i rel x_j and x_i - x_j rel c.
 
-    SLR needs ``partition``; BD needs ``kappa`` plus the ``bounded`` flag.
+
+def compile_checks(mode: str, constraints, vidx, gamma=None, partition=None) -> list[tuple]:
+    """Premise constraints over variables ``vidx`` as checks on cells.
+
+    Bounds come first so that difference checks, which need their
+    coordinates in range, only run once the guard bounds held.  Slr bounds
+    are evaluated under ``gamma`` and must be points of ``partition``; bd
+    constants must be integers of absolute value at most kappa.
     """
-    if mode == MODE_SLR:
-        if partition is None:
-            raise ValueError("SLR class enumeration needs a partition")
-        yield from enumerate_slr_classes(arity, partition)
-    elif mode == MODE_BD:
-        if kappa is None:
-            raise ValueError("BD class enumeration needs kappa")
-        if bounded:
-            yield from enumerate_bd_bounded(arity, kappa)
-        else:
-            yield from enumerate_bd_unbounded(arity, kappa)
+    checks: list[tuple] = []
+    for c in constraints:
+        if isinstance(c, VarConst):
+            if mode == MODE_SLR:
+                pidx = partition.point_interval_index(c.bound.evaluate(gamma or {}))
+                checks.append(("slr_const", c.rel, vidx[c.var], pidx))
+            else:
+                checks.append(("bd_const", c.rel, vidx[c.var], _integer(c.bound.offset)))
+    for c in constraints:
+        if isinstance(c, VarVar):
+            checks.append(("varvar", c.rel, vidx[c.var], vidx[c.other]))
+    for c in constraints:
+        if isinstance(c, DiffConst):
+            checks.append(("diff", c.rel, vidx[c.var], vidx[c.other], _integer(c.const)))
+    return checks
+
+
+def _integer(q: Fraction) -> int:
+    if q.denominator != 1:
+        raise FragmentError(f"difference-bound grounding needs integer constants, got {q}")
+    return int(q)
+
+
+def check_holds(check: tuple, cells: Sequence[tuple]) -> bool:
+    """Whether ``check`` holds on every tuple with these cells; a check reads
+    only the cells of its own coordinates."""
+    kind, rel = check[0], check[1]
+    if kind == "bd_const":
+        s = _bound_sign(cells[check[2]], check[3])
+    elif kind == "slr_const":
+        s = _cmp(cells[check[2]][1], check[3])
+    elif kind == "varvar":
+        s = _cmp(cells[check[2]], cells[check[3]])
+    elif check[2] == check[3]:
+        s = _cmp(0, check[4])
     else:
-        raise ValueError(f"no class family for mode {mode!r}")
+        s = _diff_sign(cells[check[2]], cells[check[3]], check[4])
+    return rel.holds(s, 0)
+
+
+def _bound_sign(cell: tuple[int, int, int], c: int) -> int:
+    """Sign of (x - c) for an integer c with |c| <= kappa."""
+    bucket, floor, rank = cell
+    if bucket != BUCKET_IN:
+        return -1 if bucket == BUCKET_BELOW else 1
+    if floor != c:
+        return -1 if floor < c else 1
+    return 0 if rank == 0 else 1
+
+
+def _diff_sign(ci: tuple[int, int, int], cj: tuple[int, int, int], c: int) -> int:
+    """Sign of (x_i - x_j - c) for an integer c.
+
+    Only class-determined with both coordinates in range, which the guard
+    bounds of the normal form ensure wherever the premise can hold.
+    """
+    if ci[0] != BUCKET_IN or cj[0] != BUCKET_IN:
+        raise FragmentError(
+            "difference constraint over a coordinate beyond +/-kappa; "
+            "its variables need two-sided constant bounds"
+        )
+    d = ci[1] - cj[1]
+    if ci[2] == cj[2]:
+        return _cmp(d, c)
+    if ci[2] > cj[2]:
+        return 1 if d >= c else -1
+    return 1 if d - 1 >= c else -1
+
+
+def _cmp(a, b) -> int:
+    return (a > b) - (a < b)

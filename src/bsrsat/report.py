@@ -17,7 +17,13 @@ STATUS_ERROR = "error"
 
 @dataclass
 class SolveStats:
-    """Search counters; zero-filled fields simply stay zero."""
+    """Search counters; zero-filled fields simply stay zero.
+
+    ``classes`` (the ``classes`` stat line) counts the region classes handed
+    to grounding, summed over clauses.  ``decide`` streams only the classes
+    a clause's premise admits, so this is about the number of surviving
+    classes; ``naive_decide`` counts the full streams.
+    """
 
     preorders: int = 0
     candidates: int = 0

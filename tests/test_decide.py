@@ -8,6 +8,8 @@ from bsrsat import corpus
 from bsrsat.decide import (
     NaiveBudgetError,
     ResourceLimitError,
+    _ground_clause,
+    _make_context,
     decide,
     naive_decide,
     verify_model,
@@ -86,6 +88,19 @@ def test_difference_guarded_clause():
     )
     r = run_checked(text)
     assert r.status == STATUS_SAT
+
+
+def test_grounded_rows_share_equal_selected_classes():
+    # 25 rows of two unary classes each, drawn from five distinct classes:
+    # the rows hold one object per distinct class, not one per entry
+    n = normalize(parse_clause_set(
+        "mode bd\npred P : S^1 R^1\nfreeconst a\n"
+        "clause [x >= 0; x <= 2; y >= 0; y <= 2] [] -> [P(a, x); P(a, y)]\n"
+    ))
+    g = _ground_clause(_make_context(n), n.as_clause_set().clauses[0], SolveStats())
+    picked = [c for row in g.rows for c in row]
+    assert len(g.rows) == 25
+    assert len({id(c) for c in picked}) == len(set(picked)) == 5
 
 
 def test_skolem_threshold_is_sat():

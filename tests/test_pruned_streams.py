@@ -1,0 +1,189 @@
+"""Check-directed class streams: pruning drops only classes the premise
+checks reject, and keeps the order of the full stream."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bsrsat import corpus
+from bsrsat.decide import _class_ok, _contexts
+from bsrsat.normalize import normalize
+from bsrsat.regions import (
+    BdUnboundedClass,
+    PartitionJ,
+    compile_checks,
+    enumerate_bd_unbounded,
+    enumerate_slr_classes,
+    representative,
+)
+from bsrsat.report import SolveStats
+from bsrsat.terms import (
+    MODE_BD,
+    MODE_SLR,
+    DiffConst,
+    FragmentError,
+    GroundCmp,
+    GroundTerm,
+    Relation,
+    SkolemDef,
+    VarConst,
+    VarVar,
+    eval_constraint,
+)
+
+RELS = st.sampled_from(list(Relation))
+LOWER = st.sampled_from([Relation.GE, Relation.GT, Relation.EQ])
+UPPER = st.sampled_from([Relation.LE, Relation.LT, Relation.EQ])
+
+
+def _names(arity):
+    return [f"x{i}" for i in range(arity)]
+
+
+def _pairs(draw, names):
+    if not names:
+        return []
+    return draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=2))
+
+
+@st.composite
+def bd_premises(draw):
+    """(arity, kappa, constraints); every difference is guarded by two-sided
+    bounds on both of its variables, as the normal form requires."""
+    arity = draw(st.integers(0, 4))
+    kappa = draw(st.integers(1, 3))
+    names = _names(arity)
+    const = st.integers(-kappa, kappa).map(Fraction)
+    bounds, varvars, diffs = [], [], []
+    for v in names:
+        for _ in range(draw(st.integers(0, 2))):
+            bounds.append(VarConst(v, draw(RELS), GroundTerm.constant(draw(const))))
+    for x, y in _pairs(draw, names):
+        varvars.append(VarVar(x, draw(RELS), y))
+    for x, y in _pairs(draw, names):
+        diffs.append(DiffConst(x, y, draw(RELS), Fraction(draw(st.integers(-2 * kappa, 2 * kappa)))))
+        for v in (x, y):
+            bounds.append(VarConst(v, draw(LOWER), GroundTerm.constant(draw(const))))
+            bounds.append(VarConst(v, draw(UPPER), GroundTerm.constant(draw(const))))
+    return arity, kappa, bounds + varvars + diffs
+
+
+@st.composite
+def slr_premises(draw):
+    """(arity, partition, gamma, constraints) over up to three points."""
+    arity = draw(st.integers(0, 4))
+    points = draw(st.lists(st.integers(-3, 3).map(Fraction), max_size=3, unique=True))
+    partition = PartitionJ.make(points)
+    gamma = {}
+    terms = [GroundTerm.constant(p) for p in points]
+    if points:
+        gamma["d"] = draw(st.sampled_from(points))
+        terms.append(GroundTerm.skolem("d"))
+    names = _names(arity)
+    cons = []
+    if terms:
+        for v in names:
+            for _ in range(draw(st.integers(0, 2))):
+                cons.append(VarConst(v, draw(RELS), draw(st.sampled_from(terms))))
+    for x, y in _pairs(draw, names):
+        cons.append(VarVar(x, draw(RELS), y))
+    return arity, partition, gamma, cons
+
+
+def _assert_filter_equal(full, pruned, checks):
+    want = [c for c in full if _class_ok(c, checks)]
+    assert [c for c in pruned if _class_ok(c, checks)] == want
+
+
+def _assert_bound_stream_complete(full, pruned, bounds, names, gamma, partition=None):
+    """Every class whose representative satisfies all bounds is kept."""
+    kept = set(pruned)
+    for cls in full:
+        if cls not in kept:
+            base = dict(zip(names, representative(cls, partition)))
+            assert not all(eval_constraint(b, base, gamma) for b in bounds)
+
+
+# The bd draws are fixed: one at arity 4 and kappa 3 streams 282,781
+# classes, so fresh draws would swing the run time by tens of seconds.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(bd_premises())
+def test_bd_pruned_stream_filters_like_full_stream(premise):
+    arity, kappa, cons = premise
+    vidx = {v: i for i, v in enumerate(_names(arity))}
+    checks = compile_checks(MODE_BD, cons, vidx)
+    _assert_filter_equal(
+        enumerate_bd_unbounded(arity, kappa),
+        enumerate_bd_unbounded(arity, kappa, checks),
+        checks,
+    )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(bd_premises())
+def test_bd_bound_pruned_stream_keeps_every_admitted_class(premise):
+    arity, kappa, cons = premise
+    names = _names(arity)
+    bounds = [c for c in cons if isinstance(c, VarConst)]
+    checks = compile_checks(MODE_BD, bounds, {v: i for i, v in enumerate(names)})
+    _assert_bound_stream_complete(
+        enumerate_bd_unbounded(arity, kappa),
+        enumerate_bd_unbounded(arity, kappa, checks),
+        bounds, names, {},
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(slr_premises())
+def test_slr_pruned_stream_filters_like_full_stream(premise):
+    arity, partition, gamma, cons = premise
+    vidx = {v: i for i, v in enumerate(_names(arity))}
+    checks = compile_checks(MODE_SLR, cons, vidx, gamma, partition)
+    _assert_filter_equal(
+        enumerate_slr_classes(arity, partition),
+        enumerate_slr_classes(arity, partition, checks),
+        checks,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(slr_premises())
+def test_slr_bound_pruned_stream_keeps_every_admitted_class(premise):
+    arity, partition, gamma, cons = premise
+    names = _names(arity)
+    bounds = [c for c in cons if isinstance(c, VarConst)]
+    checks = compile_checks(MODE_SLR, bounds, {v: i for i, v in enumerate(names)}, gamma, partition)
+    _assert_bound_stream_complete(
+        enumerate_slr_classes(arity, partition),
+        enumerate_slr_classes(arity, partition, checks),
+        bounds, names, gamma, partition,
+    )
+
+
+@pytest.mark.parametrize("raw", [corpus._raw_bd, corpus._raw_slr])
+def test_corpus_clauses_pruned_stream_filters_like_full_stream(raw):
+    rng = random.Random(2024)
+    for _ in range(50):
+        n = normalize(raw(rng))
+        cs = n.as_clause_set()
+        for ctx in _contexts(n, cs, SolveStats()):
+            for cl in cs.clauses:
+                bvars = cl.base_vars()
+                var_cons = [c for c in cl.lam if not isinstance(c, (GroundCmp, SkolemDef))]
+                checks = ctx.checks(var_cons, {v: i for i, v in enumerate(bvars)})
+                _assert_filter_equal(
+                    ctx.classes(len(bvars)), ctx.classes(len(bvars), checks), checks
+                )
+
+
+def test_difference_check_beyond_kappa_is_a_fragment_error():
+    # x0 below -kappa, x1 = 0: x0 - x1 has no class-determined sign
+    cls = BdUnboundedClass(2, 1, (None, 0), frozenset({1}), (), (frozenset({0}),), ())
+    check = ("diff", Relation.LT, 0, 1, 1)
+    with pytest.raises(FragmentError):
+        _class_ok(cls, [check])
+    with pytest.raises(FragmentError):
+        list(enumerate_bd_unbounded(2, 1, [check]))
