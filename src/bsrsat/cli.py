@@ -21,7 +21,7 @@ from .parser import (ParseError, parse_clause_set, parse_goal, parse_ta,
                      print_clause_set)
 from .ramsey import ColoringOracle, check_mono_ascending, check_mono_mapped, \
     mono_ascending, mono_mapped
-from .regions import (PartitionJ, SlrClass, enumerate_bd_bounded,
+from .regions import (PartitionJ, RegionClass, enumerate_bd_bounded,
                       enumerate_bd_unbounded, enumerate_slr_classes,
                       representative)
 from .report import (STATUS_ERROR, STATUS_UNSAT, ResultReport, emit_result)
@@ -59,27 +59,25 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
-def _slr_class_line(cls: SlrClass) -> str:
+def _slr_class_line(cls: RegionClass) -> str:
     blocks = " < ".join(
-        f"J{i}{{{','.join(str(c) for c in sorted(b))}}}" for i, b in cls.blocks)
+        f"J{iv}{{{','.join(str(c) for c in coords)}}}" for iv, coords in cls.slr_blocks())
     return blocks or "()"
 
 
 def _blockchain(blocks) -> str:
-    return " < ".join("{" + ",".join(str(i) for i in sorted(b)) + "}" for b in blocks)
+    return " < ".join("{" + ",".join(str(i) for i in b) + "}" for b in blocks)
 
 
-def _bd_class_line(cls) -> str:
+def _bd_class_line(cls: RegionClass) -> str:
+    floors, zero, fr, below, above = cls.bd_blocks()
     parts = []
-    below = getattr(cls, "below_blocks", ())
-    above = getattr(cls, "above_blocks", ())
     if below:
         parts.append(f"below {_blockchain(below)}")
-    floors = tuple(f for f in cls.floors if f is not None)
-    if floors or not (below or above):
-        parts.append(f"floors ({','.join(str(f) for f in cls.floors)})")
-        parts.append(f"zero {{{','.join(str(i) for i in sorted(cls.zero))}}}")
-        parts.append(f"fr {_blockchain(cls.fr_blocks) or '-'}")
+    if any(f is not None for f in floors) or not (below or above):
+        parts.append(f"floors ({','.join(str(f) for f in floors)})")
+        parts.append(f"zero {{{','.join(str(i) for i in zero)}}}")
+        parts.append(f"fr {_blockchain(fr) or '-'}")
     if above:
         parts.append(f"above {_blockchain(above)}")
     return " ".join(parts)

@@ -202,7 +202,7 @@ class _GClause:
 
 def _class_ok(cls, checks) -> bool:
     """Whether every premise check holds on the class."""
-    cells = cls.cells()
+    cells = cls.cells
     return all(check_holds(ch, cells) for ch in checks)
 
 

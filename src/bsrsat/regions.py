@@ -1,24 +1,29 @@
 """Finite region equivalences over real tuples.
 
-Three families of equivalence classes make uniform model search finite:
+A region class (``RegionClass``) is a tuple of cells, one per coordinate,
+plus its family and, for bd, kappa.  Cells compare like the
+values they stand for, and two tuples are equivalent exactly when they have
+the same cells:
 
-* ``SlrClass``: tuples are equivalent when they agree on membership in the
-  intervals induced by a finite point set and on the relative order of their
-  coordinates.
-* ``BdBoundedClass``: over (-kappa-1, kappa+1)^k, tuples agree on coordinate
-  floors, on which fractional parts vanish, and on the order of fractional
-  parts.
-* ``BdUnboundedClass``: over all of R^k; coordinates beyond +/-kappa collapse
-  into Above/Below buckets that only remember relative value order.
+* slr (``FAMILY_SLR``): the cell of a coordinate is (block, interval).
+  Block is the rank of its value among the distinct values of the tuple;
+  interval is its interval in the partition induced by a finite point set.
+* bd bounded (``FAMILY_BD_BOUNDED``): over (-kappa-1, kappa+1)^k the cell is
+  (``BUCKET_IN``, floor, rank).  Rank is 0 for a vanishing fractional part
+  and then 1, 2, ... in ascending order of the positive fractional parts.
+* bd unbounded (``FAMILY_BD_UNBOUNDED``): over all of R^k.  In-range
+  coordinates, within [-kappa, kappa], have cells as in the bounded family.
+  A coordinate beyond +/-kappa only keeps its value order inside its
+  bucket: its cell is (``BUCKET_BELOW`` or ``BUCKET_ABOVE``, 0, rank), rank
+  0, 1, ... ascending.
 
-Each class has a canonical encoding, a deterministic representative whose
-class is the class itself, and a selection operation: reindexing a tuple
-through ``idx`` maps classes to classes.
+Each class has a deterministic representative whose class is the class
+itself, and a selection operation: reindexing a tuple through ``idx`` maps
+classes to classes.
 
-Premise constraints compile to checks on per-coordinate cells
-(``compile_checks``); ``check_holds`` is the one place that decides them,
-both on finished classes and on the partial classes that the enumerators
-prune.
+Premise constraints compile to checks on cells (``compile_checks``);
+``check_holds`` is the one place that decides them, both on finished
+classes and on the partial classes that the enumerators prune.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .terms import (
     MODE_SLR,
@@ -42,6 +47,82 @@ from .terms import (
 
 class RegionRangeError(ValueError):
     """Input tuple outside the domain of the requested classifier."""
+
+
+FAMILY_SLR = "slr"
+FAMILY_BD_BOUNDED = "bd bounded"
+FAMILY_BD_UNBOUNDED = "bd unbounded"
+
+BUCKET_BELOW = -1
+BUCKET_IN = 0
+BUCKET_ABOVE = 1
+
+
+class RegionClass(NamedTuple):
+    """One region class: its cells, its family and (bd) kappa.
+
+    Equality and hashing are those of the tuple.
+    """
+
+    cells: tuple[tuple[int, ...], ...]
+    family: str
+    kappa: int | None = None
+
+    @property
+    def arity(self) -> int:
+        return len(self.cells)
+
+    def slr_blocks(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(interval, coordinates) per block, ascending by value."""
+        cells = self.cells
+        return tuple((cells[b[0]][1], b) for b in _groups(b for b, _ in cells))
+
+    def bd_blocks(self):
+        """Floors (None beyond +/-kappa), the in-range coordinates whose
+        fractional part vanishes, and the blocks of the positive fractional
+        parts, of the coordinates below -kappa and of those above kappa,
+        each ascending."""
+        cells = self.cells
+
+        def by_rank(bucket):  # in range, rank 0 is not a fractional block
+            return _groups(
+                r if bk == bucket and (r or bucket != BUCKET_IN) else None for bk, _, r in cells
+            )
+
+        floors = tuple(f if bk == BUCKET_IN else None for bk, f, _ in cells)
+        zero = tuple(c for c, (bk, _, r) in enumerate(cells) if bk == BUCKET_IN and r == 0)
+        return floors, zero, by_rank(BUCKET_IN), by_rank(BUCKET_BELOW), by_rank(BUCKET_ABOVE)
+
+    def sort_key(self):
+        """Order of the classes of one family and arity, as listed in model
+        legends: by blocks (slr) or by floors, then fractional structure (bd)."""
+        if self.family == FAMILY_SLR:
+            return self.slr_blocks()
+        floors, *blocks = self.bd_blocks()
+        # a coordinate beyond +/-kappa sorts before every floor
+        return (tuple(-10 ** 9 if f is None else f for f in floors), *blocks)
+
+
+def _groups(keys: Iterable) -> tuple[tuple[int, ...], ...]:
+    """Positions grouped by key, ascending by key; a None key leaves its
+    position out."""
+    by_key: dict = {}
+    for pos, k in enumerate(keys):
+        if k is not None:
+            by_key.setdefault(k, []).append(pos)
+    return tuple(tuple(by_key[k]) for k in sorted(by_key))
+
+
+def _ranks(keys: Sequence) -> list[int]:
+    """Per position, the rank of its key among the distinct keys, ascending
+    from 0.  Keys are compared, not hashed: hashing a Fraction is slow."""
+    ranks = [0] * len(keys)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    r = 0
+    for a, b in zip(order, order[1:]):
+        r += keys[a] != keys[b]
+        ranks[b] = r
+    return ranks
 
 
 def ordered_set_partitions(items: Sequence) -> Iterator[tuple[tuple, ...]]:
@@ -65,12 +146,9 @@ def ordered_set_partitions(items: Sequence) -> Iterator[tuple[tuple, ...]]:
             yield part[:i] + ((first,),) + part[i:]
 
 
-def _sorted_blocks(values: Sequence[Fraction]) -> list[tuple[Fraction, tuple[int, ...]]]:
-    """Group coordinate indices by value, ascending."""
-    by_val: dict[Fraction, list[int]] = {}
-    for i, v in enumerate(values):
-        by_val.setdefault(v, []).append(i)
-    return [(v, tuple(by_val[v])) for v in sorted(by_val)]
+def _subsets(items: Sequence) -> Iterator[tuple]:
+    for r in range(len(items) + 1):
+        yield from itertools.combinations(items, r)
 
 
 # --- SLR classes -----------------------------------------------------------
@@ -112,7 +190,8 @@ class PartitionJ:
         return idx % 2 == 1
 
     def point_value(self, idx: int) -> Fraction:
-        assert idx % 2 == 1
+        if not self.is_point_interval(idx):
+            raise RegionRangeError(f"interval {idx} is not a point interval")
         return self.points[idx // 2]
 
     def point_interval_index(self, value: RationalLike) -> int:
@@ -122,49 +201,14 @@ class PartitionJ:
         return idx
 
 
-@dataclass(frozen=True)
-class SlrClass:
-    """Ordered blocks (interval index, coordinate set), ascending by value."""
-
-    arity: int
-    blocks: tuple[tuple[int, frozenset[int]], ...]
-
-    def sort_key(self):
-        return tuple((i, tuple(sorted(b))) for i, b in self.blocks)
-
-    def coord_block(self, coord: int) -> int:
-        for bi, (_, coords) in enumerate(self.blocks):
-            if coord in coords:
-                return bi
-        raise IndexError(coord)
-
-    def coord_interval(self, coord: int) -> int:
-        return self.blocks[self.coord_block(coord)][0]
-
-    def value_cmp(self, i: int, j: int) -> int:
-        a, b = self.coord_block(i), self.coord_block(j)
-        return (a > b) - (a < b)
-
-    def cells(self) -> tuple[tuple[int, int], ...]:
-        """Per coordinate (block index, interval index); see ``check_holds``."""
-        out: list = [None] * self.arity
-        for bi, (iv, coords) in enumerate(self.blocks):
-            for c in coords:
-                out[c] = (bi, iv)
-        return tuple(out)
-
-
-def class_of_slr(values: Sequence[RationalLike], partition: PartitionJ) -> SlrClass:
+def class_of_slr(values: Sequence[RationalLike], partition: PartitionJ) -> RegionClass:
     vals = [rat(v) for v in values]
-    blocks = tuple(
-        (partition.interval_of(v), frozenset(coords)) for v, coords in _sorted_blocks(vals)
-    )
-    return SlrClass(len(vals), blocks)
+    return RegionClass(tuple(zip(_ranks(vals), map(partition.interval_of, vals))), FAMILY_SLR)
 
 
 def enumerate_slr_classes(
     arity: int, partition: PartitionJ, checks: Sequence[tuple] = ()
-) -> Iterator[SlrClass]:
+) -> Iterator[RegionClass]:
     """All classes, deterministically: ordered partitions, then interval maps.
 
     ``checks`` (from ``compile_checks``) prune the stream without changing
@@ -172,9 +216,6 @@ def enumerate_slr_classes(
     chosen, a bound once its coordinate's block has an interval.  The
     classes skipped are exactly those on which some check fails.
     """
-    if arity == 0:
-        yield SlrClass(0, ())
-        return
     n_int = partition.interval_count
     for part in ordered_set_partitions(tuple(range(arity))):
         # Until the intervals are placed a cell holds only its block index,
@@ -189,9 +230,9 @@ def enumerate_slr_classes(
         for ch in checks:
             if ch[0] == "slr_const":
                 staged[cells[ch[2]][0]].append(ch)
-        fblocks = [frozenset(b) for b in part]
+        block_of = [b for b, _ in cells]
         for idxs in _interval_assignments(part, n_int, cells, staged):
-            yield SlrClass(arity, tuple(zip(idxs, fblocks)))
+            yield RegionClass(tuple((b, idxs[b]) for b in block_of), FAMILY_SLR)
 
 
 def _interval_assignments(
@@ -222,18 +263,19 @@ def _interval_assignments(
     yield from rec(0, 0)
 
 
-def representative_slr(cls: SlrClass, partition: PartitionJ) -> tuple[Fraction, ...]:
+def representative_slr(cls: RegionClass, partition: PartitionJ) -> tuple[Fraction, ...]:
     """One member per class: points take their value; open intervals take an
     ascending ladder with as many rungs as the interval hosts blocks."""
     per_interval: dict[int, list[int]] = {}
-    for bi, (iv, _) in enumerate(cls.blocks):
+    for bi, (iv, _) in enumerate(cls.slr_blocks()):
         per_interval.setdefault(iv, []).append(bi)
     values: dict[int, Fraction] = {}
     pts = partition.points
     for iv, bis in per_interval.items():
         n = len(bis)
         if iv % 2 == 1:
-            assert n == 1
+            if n != 1:
+                raise RegionRangeError(f"{n} value blocks share the point interval {iv}")
             values[bis[0]] = pts[iv // 2]
         elif not pts:
             for j, bi in enumerate(bis, start=1):
@@ -248,145 +290,13 @@ def representative_slr(cls: SlrClass, partition: PartitionJ) -> tuple[Fraction, 
             a, b = pts[iv // 2 - 1], pts[iv // 2]
             for j, bi in enumerate(bis, start=1):
                 values[bi] = a + (b - a) * Fraction(j, n + 1)
-    out = [Fraction(0)] * cls.arity
-    for bi, (_, coords) in enumerate(cls.blocks):
-        for c in coords:
-            out[c] = values[bi]
-    return tuple(out)
-
-
-def select_slr(cls: SlrClass, idx: Sequence[int]) -> SlrClass:
-    """Class of t[idx] for any t in cls, computed combinatorially."""
-    return SlrClass(len(idx), _select_blocks(cls.blocks, idx, lambda tag: tag))
-
-
-def _select_blocks(blocks, idx: Sequence[int], tag_map):
-    hit: dict[int, list[int]] = {}
-    for pos, src in enumerate(idx):
-        for bi, (_, coords) in enumerate(blocks):
-            if src in coords:
-                hit.setdefault(bi, []).append(pos)
-                break
-        else:
-            raise IndexError(f"source coordinate {src} out of range")
-    out = []
-    for bi in range(len(blocks)):
-        if bi in hit:
-            out.append((tag_map(blocks[bi][0]), frozenset(hit[bi])))
-    return tuple(out)
+    return tuple(values[b] for b, _ in cls.cells)
 
 
 # --- bounded difference classes -------------------------------------------
 
 
-@dataclass(frozen=True)
-class BdBoundedClass:
-    """Floors plus fr-zero flags plus the ascending order of positive
-    fractional parts, over (-kappa-1, kappa+1)^arity."""
-
-    arity: int
-    kappa: int
-    floors: tuple[int, ...]
-    zero: frozenset[int]
-    fr_blocks: tuple[frozenset[int], ...]
-
-    def sort_key(self):
-        return (
-            self.floors,
-            tuple(sorted(self.zero)),
-            tuple(tuple(sorted(b)) for b in self.fr_blocks),
-        )
-
-    def fr_rank(self, coord: int) -> int:
-        """0 for fr == 0, then 1, 2, ... in ascending fractional order."""
-        if coord in self.zero:
-            return 0
-        for bi, b in enumerate(self.fr_blocks, start=1):
-            if coord in b:
-                return bi
-        raise IndexError(coord)
-
-    def value_cmp(self, i: int, j: int) -> int:
-        a = (self.floors[i], self.fr_rank(i))
-        b = (self.floors[j], self.fr_rank(j))
-        return (a > b) - (a < b)
-
-
-BUCKET_BELOW = -1
-BUCKET_IN = 0
-BUCKET_ABOVE = 1
-
-
-@dataclass(frozen=True)
-class BdUnboundedClass:
-    """Bucket structure over all of R^arity.
-
-    Coordinates strictly beyond +/-kappa keep only their relative value order
-    (below_blocks / above_blocks, ascending).  In-range coordinates keep
-    floors, fr-zero flags and fractional order, as in the bounded case.
-    """
-
-    arity: int
-    kappa: int
-    floors: tuple[int | None, ...]
-    zero: frozenset[int]
-    fr_blocks: tuple[frozenset[int], ...]
-    below_blocks: tuple[frozenset[int], ...]
-    above_blocks: tuple[frozenset[int], ...]
-
-    def sort_key(self):
-        return (
-            tuple(-10 ** 9 if f is None else f for f in self.floors),
-            tuple(sorted(self.zero)),
-            tuple(tuple(sorted(b)) for b in self.fr_blocks),
-            tuple(tuple(sorted(b)) for b in self.below_blocks),
-            tuple(tuple(sorted(b)) for b in self.above_blocks),
-        )
-
-    def bucket(self, coord: int) -> int:
-        if any(coord in b for b in self.below_blocks):
-            return BUCKET_BELOW
-        if any(coord in b for b in self.above_blocks):
-            return BUCKET_ABOVE
-        return BUCKET_IN
-
-    def fr_rank(self, coord: int) -> int:
-        if coord in self.zero:
-            return 0
-        for bi, b in enumerate(self.fr_blocks, start=1):
-            if coord in b:
-                return bi
-        raise IndexError(coord)
-
-    def cells(self) -> tuple[tuple[int, int, int], ...]:
-        """Per coordinate (bucket, floor, rank); see ``check_holds``."""
-        out: list = [None] * self.arity
-        for bucket, blocks in (
-            (BUCKET_BELOW, self.below_blocks),
-            (BUCKET_ABOVE, self.above_blocks),
-        ):
-            for rank, block in enumerate(blocks):
-                for c in block:
-                    out[c] = (bucket, 0, rank)
-        for c in self.zero:
-            out[c] = (BUCKET_IN, self.floors[c], 0)
-        for rank, block in enumerate(self.fr_blocks, start=1):
-            for c in block:
-                out[c] = (BUCKET_IN, self.floors[c], rank)
-        return tuple(out)
-
-    def value_cmp(self, i: int, j: int) -> int:
-        """Total, class-determined value order (Below < In < Above)."""
-        cells = self.cells()
-        return _cmp(cells[i], cells[j])
-
-
-BdClass = BdBoundedClass | BdUnboundedClass
-
-
-def class_of_bd(
-    values: Sequence[RationalLike], kappa: int, bounded: bool
-) -> BdClass:
+def class_of_bd(values: Sequence[RationalLike], kappa: int, bounded: bool) -> RegionClass:
     vals = [rat(v) for v in values]
     if bounded:
         for v in vals:
@@ -394,91 +304,49 @@ def class_of_bd(
                 raise RegionRangeError(
                     f"{v} outside (-{kappa + 1}, {kappa + 1}) for the bounded classifier"
                 )
-        floors, zero, fr_blocks = _fr_structure(vals, range(len(vals)))
-        return BdBoundedClass(len(vals), kappa, tuple(floors), zero, fr_blocks)
-    below = [i for i, v in enumerate(vals) if v < -kappa]
-    above = [i for i, v in enumerate(vals) if v > kappa]
-    inside = [i for i in range(len(vals)) if i not in below and i not in above]
-    floors_l: list[int | None] = [None] * len(vals)
-    fl, zero, fr_blocks = _fr_structure(vals, inside)
-    for i, f in zip(inside, fl):
-        floors_l[i] = f
-    return BdUnboundedClass(
-        len(vals),
-        kappa,
-        tuple(floors_l),
-        zero,
-        fr_blocks,
-        _value_order_blocks(vals, below),
-        _value_order_blocks(vals, above),
-    )
-
-
-def _fr_structure(vals: Sequence[Fraction], coords: Iterable[int]):
-    floors = []
-    frs: dict[int, Fraction] = {}
-    for i in coords:
-        fl, fr = floor_fr(vals[i])
-        floors.append(fl)
-        frs[i] = fr
-    zero = frozenset(i for i, f in frs.items() if f == 0)
-    positive: dict[Fraction, list[int]] = {}
-    for i, f in frs.items():
-        if f != 0:
-            positive.setdefault(f, []).append(i)
-    fr_blocks = tuple(frozenset(positive[f]) for f in sorted(positive))
-    return floors, zero, fr_blocks
-
-
-def _value_order_blocks(vals: Sequence[Fraction], coords: Sequence[int]):
-    return tuple(
-        frozenset(c) for _, c in _sorted_blocks_subset(vals, coords)
-    )
-
-
-def _sorted_blocks_subset(vals, coords):
-    by_val: dict[Fraction, list[int]] = {}
-    for i in coords:
-        by_val.setdefault(vals[i], []).append(i)
-    return [(v, tuple(by_val[v])) for v in sorted(by_val)]
-
-
-def _subsets(items: Sequence) -> Iterator[tuple]:
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)
+    below, above, inside = [], [], []
+    for c, v in enumerate(vals):
+        if bounded or -kappa <= v <= kappa:
+            inside.append(c)
+        else:
+            (below if v < 0 else above).append(c)
+    cells: list = [None] * len(vals)
+    for bucket, coords in ((BUCKET_BELOW, below), (BUCKET_ABOVE, above)):
+        for c, r in zip(coords, _ranks([vals[c] for c in coords])):
+            cells[c] = (bucket, 0, r)
+    split = [floor_fr(vals[c]) for c in inside]
+    # a leading 0 gives vanishing fractional parts rank 0, positive ones 1, 2, ...
+    fr_ranks = _ranks([0] + [fr for _, fr in split])[1:]
+    for c, (fl, _), r in zip(inside, split, fr_ranks):
+        cells[c] = (BUCKET_IN, fl, r)
+    family = FAMILY_BD_BOUNDED if bounded else FAMILY_BD_UNBOUNDED
+    return RegionClass(tuple(cells), family, kappa)
 
 
 def enumerate_bd_bounded(
-    arity: int,
-    kappa: int,
-    floor_lo: Sequence[int] | None = None,
-    floor_hi: Sequence[int] | None = None,
-) -> Iterator[BdBoundedClass]:
-    """All bounded classes; optional per-coordinate floor clamps narrow the
-    stream (used by grounding when constraints box the variables)."""
-    lo = floor_lo or [-kappa - 1] * arity
-    hi = floor_hi or [kappa] * arity
-    if arity == 0:
-        yield BdBoundedClass(0, kappa, (), frozenset(), ())
-        return
+    arity: int, kappa: int, floor_lo: int | None = None
+) -> Iterator[RegionClass]:
+    """All bounded classes, deterministically: fr-zero flags, fractional
+    order, then floors.  ``floor_lo`` drops the classes with a floor below
+    it (0 keeps the clock box [0, kappa+1)^arity)."""
+    lo = -kappa - 1 if floor_lo is None else floor_lo
     coords = tuple(range(arity))
-    for zero_sel in _subsets(coords):
-        zero = frozenset(zero_sel)
+    for zero in _subsets(coords):
+        ranges = [range(max(-kappa if c in zero else -kappa - 1, lo), kappa + 1) for c in coords]
         nonzero = tuple(c for c in coords if c not in zero)
         for part in ordered_set_partitions(nonzero):
-            fr_blocks = tuple(frozenset(b) for b in part)
-            ranges = []
-            for c in coords:
-                base_lo = max(-kappa if c in zero else -kappa - 1, lo[c])
-                base_hi = min(kappa, hi[c])
-                ranges.append(range(base_lo, base_hi + 1))
-            for floors in itertools.product(*ranges):
-                yield BdBoundedClass(arity, kappa, floors, zero, fr_blocks)
+            ranks = [0] * arity
+            for rank, block in enumerate(part, start=1):
+                for c in block:
+                    ranks[c] = rank
+            options = [[(BUCKET_IN, f, ranks[c]) for f in ranges[c]] for c in coords]
+            for cells in itertools.product(*options):
+                yield RegionClass(cells, FAMILY_BD_BOUNDED, kappa)
 
 
 def enumerate_bd_unbounded(
     arity: int, kappa: int, checks: Sequence[tuple] = ()
-) -> Iterator[BdUnboundedClass]:
+) -> Iterator[RegionClass]:
     """All unbounded classes, deterministically: buckets, value order beyond
     +/-kappa, fr-zero flags, fractional order, then floors.
 
@@ -489,9 +357,6 @@ def enumerate_bd_unbounded(
     for an in-range coordinate means its floor.  The classes skipped are
     exactly those on which some check fails.
     """
-    if arity == 0:
-        yield BdUnboundedClass(0, kappa, (), frozenset(), (), (), ())
-        return
     coords = tuple(range(arity))
     bounds = [[ch for ch in checks if ch[0] == "bd_const" and ch[2] == c] for c in coords]
     # floor_opts[c][zero]: the in-range floors of coordinate c that its
@@ -517,34 +382,26 @@ def enumerate_bd_unbounded(
         below = tuple(c for c in coords if buckets[c] == BUCKET_BELOW)
         above = tuple(c for c in coords if buckets[c] == BUCKET_ABOVE)
         for below_part in ordered_set_partitions(below):
-            below_blocks = tuple(frozenset(b) for b in below_part)
             for above_part in ordered_set_partitions(above):
-                above_blocks = tuple(frozenset(b) for b in above_part)
                 for bucket, part in ((BUCKET_BELOW, below_part), (BUCKET_ABOVE, above_part)):
                     for rank, block in enumerate(part):
                         for c in block:
                             cells[c] = (bucket, 0, rank)
                 if not all(check_holds(ch, cells) for ch in outer):
                     continue
-                for zero_sel in _subsets(inside):
-                    zero = frozenset(zero_sel)
+                for zero in _subsets(inside):
                     ranges = [floor_opts[c][c in zero] for c in inside]
                     if not all(ranges):
                         continue
                     nonzero = tuple(c for c in inside if c not in zero)
                     for part in ordered_set_partitions(nonzero):
-                        fr_blocks = tuple(frozenset(b) for b in part)
                         ranks = dict.fromkeys(zero, 0)
                         for rank, block in enumerate(part, start=1):
                             ranks.update(dict.fromkeys(block, rank))
-                        for floors_in in _floor_tuples(inside, ranges, ranks, cells, staged):
-                            floors: list[int | None] = [None] * arity
-                            for c, f in zip(inside, floors_in):
-                                floors[c] = f
-                            yield BdUnboundedClass(
-                                arity, kappa, tuple(floors), zero,
-                                fr_blocks, below_blocks, above_blocks,
-                            )
+                        for floors in _floor_tuples(inside, ranges, ranks, cells, staged):
+                            for c, f in zip(inside, floors):
+                                cells[c] = (BUCKET_IN, f, ranks[c])
+                            yield RegionClass(tuple(cells), FAMILY_BD_UNBOUNDED, kappa)
 
 
 def _admitted_floors(kappa: int, c: int, zero: bool, bounds) -> Sequence[int]:
@@ -605,86 +462,52 @@ def _floor_tuples(inside, ranges, ranks, cells, staged) -> Iterator[tuple[int, .
     return rec(0, ())
 
 
-def _fr_ladder(arity: int) -> list[Fraction]:
-    return [Fraction(j, arity + 2) for j in range(1, arity + 2)]
+def _outer_block_counts(cells) -> tuple[int, int]:
+    """Number of value blocks below -kappa and above kappa."""
+    below = above = 0
+    for bk, _, r in cells:
+        if bk == BUCKET_BELOW:
+            below = max(below, r + 1)
+        elif bk == BUCKET_ABOVE:
+            above = max(above, r + 1)
+    return below, above
 
 
-def representative_bd(cls: BdClass) -> tuple[Fraction, ...]:
+def representative_bd(cls: RegionClass) -> tuple[Fraction, ...]:
     """Deterministic member of the class.
 
-    For unbounded classes the fractional rungs are assigned Below blocks
-    first, then Above, then in-range positive blocks, so representatives obey
+    Positive fractional parts climb a ladder of rungs j / d.  Bounded
+    classes take d = (number of positive fractional blocks) + 1.  Unbounded
+    classes take d = arity + 2 and assign the rungs to Below blocks first,
+    then Above, then in-range positive blocks, so representatives obey
     fr(Below) < fr(Above) < positive fr(In).
     """
-    k = cls.arity
-    if k == 0:
-        return ()
-    out: list[Fraction] = [Fraction(0)] * k
-    if isinstance(cls, BdBoundedClass):
-        ladder = [Fraction(j, len(cls.fr_blocks) + 1) for j in range(1, len(cls.fr_blocks) + 1)]
-        for c in cls.zero:
-            out[c] = Fraction(cls.floors[c])
-        for rung, block in zip(ladder, cls.fr_blocks):
-            for c in block:
-                out[c] = cls.floors[c] + rung
-        return tuple(out)
-    rungs = iter(_fr_ladder(k))
-    t = len(cls.below_blocks)
-    for j, block in enumerate(cls.below_blocks, start=1):
-        fr = next(rungs)
-        for c in block:
-            out[c] = -cls.kappa - (t - j + 1) + fr
-    for j, block in enumerate(cls.above_blocks, start=1):
-        fr = next(rungs)
-        for c in block:
-            out[c] = cls.kappa + j + fr
-    for c in cls.zero:
-        out[c] = Fraction(cls.floors[c])
-    for block in cls.fr_blocks:
-        fr = next(rungs)
-        for c in block:
-            out[c] = cls.floors[c] + fr
-    return tuple(out)
-
-
-def select_bd(cls: BdClass, idx: Sequence[int]) -> BdClass:
-    """Class of t[idx] for any t in cls."""
-    m = len(idx)
-    if isinstance(cls, BdBoundedClass):
-        floors = tuple(cls.floors[s] for s in idx)
-        zero = frozenset(p for p, s in enumerate(idx) if s in cls.zero)
-        fr_blocks = _restrict_blocks(cls.fr_blocks, idx)
-        return BdBoundedClass(m, cls.kappa, floors, zero, fr_blocks)
-    floors = tuple(cls.floors[s] for s in idx)
-    zero = frozenset(p for p, s in enumerate(idx) if s in cls.zero)
-    return BdUnboundedClass(
-        m,
-        cls.kappa,
-        floors,
-        zero,
-        _restrict_blocks(cls.fr_blocks, idx),
-        _restrict_blocks(cls.below_blocks, idx),
-        _restrict_blocks(cls.above_blocks, idx),
-    )
-
-
-def _restrict_blocks(blocks, idx: Sequence[int]):
+    cells, kappa = cls.cells, cls.kappa
+    below, above = _outer_block_counts(cells)
+    if cls.family == FAMILY_BD_BOUNDED:
+        d = 1 + max((r for _, _, r in cells), default=0)
+    else:
+        d = len(cells) + 2
     out = []
-    for block in blocks:
-        hit = frozenset(p for p, s in enumerate(idx) if s in block)
-        if hit:
-            out.append(hit)
+    for bk, f, r in cells:
+        if bk == BUCKET_BELOW:
+            out.append(-kappa - (below - r) + Fraction(r + 1, d))
+        elif bk == BUCKET_ABOVE:
+            out.append(kappa + r + 1 + Fraction(below + r + 1, d))
+        elif r == 0:
+            out.append(Fraction(f))
+        else:
+            out.append(f + Fraction(below + above + r, d))
     return tuple(out)
 
 
-def rho_sigma(cls: BdBoundedClass) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-coordinate (fractional rank, floor) read off the class encoding.
+def rho_sigma(cls: RegionClass) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per-coordinate (fractional rank, floor) of a bounded class.
 
     Any member tuple has coordinate i equal to r_{rho[i]} + sigma[i] for some
-    ascending ladder 0 = r_0 < r_1 < ... < r_m < 1, m = len(cls.fr_blocks).
+    ascending ladder 0 = r_0 < r_1 < ... < r_m < 1, m = max(rho).
     """
-    rho = tuple(cls.fr_rank(i) for i in range(cls.arity))
-    return rho, cls.floors
+    return tuple(r for _, _, r in cls.cells), tuple(f for _, f, _ in cls.cells)
 
 
 def apply_rho_sigma(
@@ -706,7 +529,7 @@ def apply_rho_sigma(
     return tuple(vals[r] + s for r, s in zip(rho, sigma))
 
 
-def bounded_subclass(cls: BdUnboundedClass) -> BdBoundedClass:
+def bounded_subclass(cls: RegionClass) -> RegionClass:
     """Squeeze an unbounded class into (-kappa-1, kappa+1).
 
     Below coordinates land in (-kappa-1, -kappa), Above coordinates in
@@ -715,53 +538,56 @@ def bounded_subclass(cls: BdUnboundedClass) -> BdBoundedClass:
     each bucket is preserved and every member of the result belongs to
     ``cls`` under the unbounded equivalence.
     """
-    floors: list[int] = []
-    for c in range(cls.arity):
-        bk = cls.bucket(c)
+    if cls.family != FAMILY_BD_UNBOUNDED:
+        raise ValueError(f"bounded_subclass needs an unbounded bd class, not {cls.family}")
+    below, above = _outer_block_counts(cls.cells)
+    cells = []
+    for bk, f, r in cls.cells:
         if bk == BUCKET_BELOW:
-            floors.append(-cls.kappa - 1)
+            cells.append((BUCKET_IN, -cls.kappa - 1, 1 + r))
         elif bk == BUCKET_ABOVE:
-            floors.append(cls.kappa)
+            cells.append((BUCKET_IN, cls.kappa, 1 + below + r))
         else:
-            f = cls.floors[c]
-            assert f is not None
-            floors.append(f)
-    fr_blocks = cls.below_blocks + cls.above_blocks + cls.fr_blocks
-    return BdBoundedClass(cls.arity, cls.kappa, tuple(floors), cls.zero, fr_blocks)
+            cells.append((BUCKET_IN, f, below + above + r if r else 0))
+    return RegionClass(tuple(cells), FAMILY_BD_BOUNDED, cls.kappa)
 
 
-# --- generic wrappers ------------------------------------------------------
-
-RegionClass = SlrClass | BdBoundedClass | BdUnboundedClass
+# --- family-independent operations -----------------------------------------
 
 
 def representative(cls: RegionClass, partition: PartitionJ | None = None) -> tuple[Fraction, ...]:
-    if isinstance(cls, SlrClass):
-        assert partition is not None
-        return representative_slr(cls, partition)
-    return representative_bd(cls)
+    if cls.family != FAMILY_SLR:
+        return representative_bd(cls)
+    if partition is None:
+        raise ValueError("an slr class needs its partition for a representative")
+    return representative_slr(cls, partition)
 
 
 def select_class(cls: RegionClass, idx: Sequence[int]) -> RegionClass:
-    if isinstance(cls, SlrClass):
-        return select_slr(cls, idx)
-    return select_bd(cls, idx)
+    """Class of t[idx] for any t in cls: the cells reindexed, then block
+    indices (slr) or the ranks within each bucket (bd) renumbered densely.
+    In range, rank 0 stays reserved for a vanishing fractional part."""
+    picked = [cls.cells[s] for s in idx]
+    if cls.family == FAMILY_SLR:
+        blocks = {b for b, _ in picked}
+        return cls._replace(
+            cells=tuple((sum(o < b for o in blocks), iv) for b, iv in picked)
+        )
+    ranks = {(bk, r) for bk, _, r in picked} | {(BUCKET_IN, 0)}
+    return cls._replace(
+        cells=tuple(
+            (bk, f, sum(o == bk and q < r for o, q in ranks)) for bk, f, r in picked
+        )
+    )
 
 
 # --- premise checks on class cells -----------------------------------------
 #
-# A cell describes one coordinate of a class, and cells compare like the
-# values they stand for:
-#
-# * slr: (block index, interval index), blocks ascending by value;
-# * bd: (bucket, floor, rank).  In range, rank is 0 for a vanishing
-#   fractional part and then 1, 2, ... in ascending fractional order; beyond
-#   +/-kappa, floor is 0 and rank is the coordinate's block in the ascending
-#   value order of its bucket.
-#
-# A check is a tuple: ("slr_const", rel, i, point interval index),
-# ("bd_const", rel, i, c), ("varvar", rel, i, j) or ("diff", rel, i, j, c),
-# for x_i rel point, x_i rel c, x_i rel x_j and x_i - x_j rel c.
+# A check reads the cells of its coordinates (see the module docstring),
+# which compare like the values they stand for.  A check is a tuple:
+# ("slr_const", rel, i, point interval index), ("bd_const", rel, i, c),
+# ("varvar", rel, i, j) or ("diff", rel, i, j, c), for x_i rel point,
+# x_i rel c, x_i rel x_j and x_i - x_j rel c.
 
 
 def compile_checks(mode: str, constraints, vidx, gamma=None, partition=None) -> list[tuple]:

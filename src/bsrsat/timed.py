@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .regions import BdBoundedClass, class_of_bd, enumerate_bd_bounded, representative_bd
+from .regions import RegionClass, class_of_bd, enumerate_bd_bounded, representative_bd
 from .terms import (
     MODE_BD,
     MODE_FOLLA,
@@ -282,18 +282,18 @@ def _diff_cell(fi: int, ranki: int, fj: int, rankj: int, lam: int) -> Cell:
     return ("open", k)
 
 
-def profile_of_class(cls: BdBoundedClass) -> tuple[Cell, ...]:
+def profile_of_class(cls: RegionClass) -> tuple[Cell, ...]:
     """Difference cells for all coordinate pairs i < j."""
-    out = []
-    for i, j in itertools.combinations(range(cls.arity), 2):
-        out.append(_diff_cell(cls.floors[i], cls.fr_rank(i), cls.floors[j], cls.fr_rank(j), cls.kappa))
-    return tuple(out)
+    return tuple(
+        _diff_cell(fi, ri, fj, rj, cls.kappa)
+        for (_, fi, ri), (_, fj, rj) in itertools.combinations(cls.cells, 2)
+    )
 
 
 def delay_profiles(n_clocks: int, lam: int) -> list[tuple[Cell, ...]]:
     """All difference-cell profiles realizable inside [0, lambda+1)^n."""
     seen: set[tuple[Cell, ...]] = set()
-    for cls in enumerate_bd_bounded(n_clocks, lam, floor_lo=[0] * n_clocks):
+    for cls in enumerate_bd_bounded(n_clocks, lam, floor_lo=0):
         seen.add(profile_of_class(cls))
     return sorted(seen)
 
@@ -406,27 +406,27 @@ def encode_reachability(
 # --- region-graph oracle ---------------------------------------------------
 
 
-def time_successor(cls: BdBoundedClass) -> BdBoundedClass | None:
+def time_successor(cls: RegionClass) -> RegionClass | None:
     """Next region hit when all coordinates advance uniformly.
 
     Integer-valued coordinates enter the open segment just above them;
     otherwise the largest fractional block reaches the next integer.  None
     once that would push a coordinate to kappa + 1 (out of the box).
     """
-    if cls.arity == 0:
+    cells = cls.cells
+    if not cells:
         return None
-    if cls.zero:
-        return BdBoundedClass(
-            cls.arity, cls.kappa, cls.floors, frozenset(), (frozenset(cls.zero),) + cls.fr_blocks
-        )
-    top = cls.fr_blocks[-1]
-    if any(cls.floors[c] >= cls.kappa for c in top):
+    if any(r == 0 for _, _, r in cells):
+        return cls._replace(cells=tuple((bk, f, r + 1) for bk, f, r in cells))
+    top = max(r for _, _, r in cells)
+    if any(f >= cls.kappa for _, f, r in cells if r == top):
         return None
-    floors = tuple(f + 1 if c in top else f for c, f in enumerate(cls.floors))
-    return BdBoundedClass(cls.arity, cls.kappa, floors, frozenset(top), cls.fr_blocks[:-1])
+    return cls._replace(
+        cells=tuple((bk, f + 1, 0) if r == top else (bk, f, r) for bk, f, r in cells)
+    )
 
 
-def _cc_holds_class(cc: ClockConstraint, cls: BdBoundedClass, clocks: Sequence[str]) -> bool:
+def _cc_holds_class(cc: ClockConstraint, cls: RegionClass, clocks: Sequence[str]) -> bool:
     rep = representative_bd(cls)
     values = dict(zip(clocks, rep))
     return cc.holds(values)
@@ -454,15 +454,15 @@ def region_reach(aut: TimedAutomaton, query: ReachQuery, lam: int | None = None)
     for t in aut.transitions:
         by_source.setdefault(t.source, []).append(t)
 
-    seen: set[tuple[str, BdBoundedClass]] = set()
-    frontier: list[tuple[str, BdBoundedClass]] = [(aut.initial, start_cls)]
+    seen: set[tuple[str, RegionClass]] = set()
+    frontier: list[tuple[str, RegionClass]] = [(aut.initial, start_cls)]
     seen.add(frontier[0])
     while frontier:
-        nxt: list[tuple[str, BdBoundedClass]] = []
+        nxt: list[tuple[str, RegionClass]] = []
         for loc, cls in frontier:
             if loc == query.location and _cc_holds_class(query.constraint, cls, xs):
                 return True
-            succs: list[tuple[str, BdBoundedClass]] = []
+            succs: list[tuple[str, RegionClass]] = []
             inv = aut.invariant(loc)
             d = time_successor(cls)
             while d is not None:
@@ -490,13 +490,7 @@ def region_reach(aut: TimedAutomaton, query: ReachQuery, lam: int | None = None)
 # --- executable content of the delay-set lemma -----------------------------
 
 
-def _box_classes(arity: int, lam: int) -> list[BdBoundedClass]:
-    return sorted(
-        enumerate_bd_bounded(arity, lam, floor_lo=[0] * arity), key=lambda c: c.sort_key()
-    )
-
-
-def _in_delay_closure(target: Sequence[Fraction], source: BdBoundedClass) -> bool:
+def _in_delay_closure(target: Sequence[Fraction], source: RegionClass) -> bool:
     """Is target = q + t for some q in source and t >= 0?
 
     The class of target - t changes only when a coordinate crosses an
@@ -526,7 +520,7 @@ def _in_delay_closure(target: Sequence[Fraction], source: BdBoundedClass) -> boo
     return False
 
 
-def _in_difference_hull(target: Sequence[Fraction], source: BdBoundedClass, lam: int) -> bool:
+def _in_difference_hull(target: Sequence[Fraction], source: RegionClass, lam: int) -> bool:
     """Same difference cells as the source region and componentwise above it.
 
     Some q in the source lies weakly below the target iff the target clears
@@ -537,18 +531,10 @@ def _in_difference_hull(target: Sequence[Fraction], source: BdBoundedClass, lam:
     tgt = class_of_bd(target, lam, bounded=True)
     if profile_of_class(tgt) != profile_of_class(source):
         return False
-    for i, v in enumerate(target):
-        f = source.floors[i]
-        if i in source.zero:
-            if not v >= f:
-                return False
-        else:
-            if not v > f:
-                return False
-    return True
+    return all(v >= f if r == 0 else v > f for v, (_, f, r) in zip(target, source.cells))
 
 
-def delay_sets_equal_check(source: BdBoundedClass, lam: int) -> bool:
+def delay_sets_equal_check(source: RegionClass, lam: int) -> bool:
     """Compare the two characterizations of a region's delay successors.
 
     S1 collects the box regions reachable from the source by a uniform
@@ -558,9 +544,9 @@ def delay_sets_equal_check(source: BdBoundedClass, lam: int) -> bool:
     """
     if source.kappa != lam:
         raise ValueError("source region must be encoded at kappa = lambda")
-    s1: set[BdBoundedClass] = set()
-    s2: set[BdBoundedClass] = set()
-    for cls in _box_classes(source.arity, lam):
+    s1: set[RegionClass] = set()
+    s2: set[RegionClass] = set()
+    for cls in enumerate_bd_bounded(source.arity, lam, floor_lo=0):
         rep = representative_bd(cls)
         if _in_delay_closure(rep, source):
             s1.add(cls)

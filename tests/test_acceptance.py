@@ -159,7 +159,7 @@ def test_criterion_5_timed_reachability_differential():
 def test_criterion_6_delay_set_equivalence():
     total = 0
     for lam in (1, 2):
-        for cls in enumerate_bd_bounded(2, lam, floor_lo=[0, 0]):
+        for cls in enumerate_bd_bounded(2, lam, floor_lo=0):
             assert delay_sets_equal_check(cls, lam)
             total += 1
     announce(f"criterion 6: PASS — delay-set equivalence holds on all "

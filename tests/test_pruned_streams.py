@@ -12,8 +12,8 @@ from bsrsat import corpus
 from bsrsat.decide import _class_ok, _contexts
 from bsrsat.normalize import normalize
 from bsrsat.regions import (
-    BdUnboundedClass,
     PartitionJ,
+    class_of_bd,
     compile_checks,
     enumerate_bd_unbounded,
     enumerate_slr_classes,
@@ -181,7 +181,7 @@ def test_corpus_clauses_pruned_stream_filters_like_full_stream(raw):
 
 def test_difference_check_beyond_kappa_is_a_fragment_error():
     # x0 below -kappa, x1 = 0: x0 - x1 has no class-determined sign
-    cls = BdUnboundedClass(2, 1, (None, 0), frozenset({1}), (), (frozenset({0}),), ())
+    cls = class_of_bd([Fraction(-2), Fraction(0)], 1, bounded=False)
     check = ("diff", Relation.LT, 0, 1, 1)
     with pytest.raises(FragmentError):
         _class_ok(cls, [check])

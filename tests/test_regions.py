@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsrsat.regions import (
-    BdBoundedClass,
+    FAMILY_BD_BOUNDED,
+    FAMILY_SLR,
     PartitionJ,
+    RegionClass,
     RegionRangeError,
     apply_rho_sigma,
     bounded_subclass,
@@ -24,7 +26,6 @@ from bsrsat.regions import (
     representative_slr,
     rho_sigma,
     select_class,
-    select_slr,
 )
 
 P01 = PartitionJ.make([0, 1])
@@ -94,13 +95,6 @@ def test_slr_grid_census_matches_enumeration():
     assert hit == set(all_slr(2, P01))
 
 
-def test_slr_value_cmp_tracks_representative():
-    for cls in all_slr(3, P0):
-        rep = representative_slr(cls, P0)
-        for i, j in itertools.product(range(3), repeat=2):
-            assert cls.value_cmp(i, j) == (rep[i] > rep[j]) - (rep[i] < rep[j])
-
-
 rational3 = st.fractions(min_value=-3, max_value=3, max_denominator=8)
 
 
@@ -112,7 +106,7 @@ def test_slr_selection_commutes_with_classification(vals, data):
     )
     cls = class_of_slr(vals, P01)
     picked = [vals[i] for i in idx]
-    assert select_slr(cls, idx) == class_of_slr(picked, P01)
+    assert select_class(cls, idx) == class_of_slr(picked, P01)
 
 
 # --- BD classes -------------------------------------------------------------
@@ -132,7 +126,7 @@ def test_bd_unbounded_census_frozen():
 
 def test_bd_box_census_frozen():
     # clock-region count for two clocks confined to [0, 3)
-    boxed = enumerate_bd_bounded(2, 2, floor_lo=[0, 0], floor_hi=[2, 2])
+    boxed = enumerate_bd_bounded(2, 2, floor_lo=0)
     assert len(list(boxed)) == 54
 
 
@@ -166,13 +160,6 @@ def test_bd_bounded_classifier_rejects_out_of_range():
         class_of_bd([Fraction(-5, 2)], 1, bounded=True)
 
 
-def test_bd_value_cmp_tracks_representative():
-    for cls in enumerate_bd_unbounded(3, 1):
-        rep = representative_bd(cls)
-        for i, j in itertools.product(range(3), repeat=2):
-            assert cls.value_cmp(i, j) == (rep[i] > rep[j]) - (rep[i] < rep[j])
-
-
 @settings(max_examples=200)
 @given(st.lists(rational3, min_size=1, max_size=4), st.data())
 def test_bd_selection_commutes_with_classification(vals, data):
@@ -191,7 +178,7 @@ def test_bd_selection_commutes_with_classification(vals, data):
 def test_rho_sigma_round_trip_all_classes():
     for cls in enumerate_bd_bounded(2, 1):
         rho, sigma = rho_sigma(cls)
-        m = len(cls.fr_blocks)
+        m = max(rho, default=0)
         ladder = [Fraction(j, m + 1) for j in range(m + 1)]
         vals = apply_rho_sigma(rho, sigma, ladder)
         assert class_of_bd(vals, 1, bounded=True) == cls
@@ -226,7 +213,7 @@ def test_apply_rho_sigma_decodes():
 def test_bounded_subclass_members_stay_in_class():
     for cls in enumerate_bd_unbounded(2, 1):
         sub = bounded_subclass(cls)
-        assert isinstance(sub, BdBoundedClass)
+        assert sub.family == FAMILY_BD_BOUNDED
         rep = representative_bd(sub)
         assert all(-2 < v < 2 for v in rep)
         assert class_of_bd(rep, 1, bounded=False) == cls
@@ -246,3 +233,52 @@ def test_generic_representative_dispatch():
     assert representative(slr, P01) == (Fraction(1, 2),)
     bd = class_of_bd([Fraction(1, 2)], 1, True)
     assert representative(bd) == representative_bd(bd)
+
+
+# --- cells ------------------------------------------------------------------
+
+
+def _cmp(a, b):
+    return (a > b) - (a < b)
+
+
+CELL_FAMILIES = {
+    "slr-P0": lambda: [(c, representative(c, P0)) for c in all_slr(3, P0)],
+    "slr-P01": lambda: [(c, representative(c, P01)) for c in all_slr(3, P01)],
+    "bd-bounded": lambda: [(c, representative(c)) for c in enumerate_bd_bounded(3, 1)],
+    "bd-unbounded": lambda: [(c, representative(c)) for c in enumerate_bd_unbounded(3, 1)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(CELL_FAMILIES))
+def test_cells_compare_like_values(family):
+    # premise checks (check_holds) compare cells in place of values
+    for cls, rep in CELL_FAMILIES[family]():
+        cells = cls.cells
+        for i, j in itertools.product(range(cls.arity), repeat=2):
+            assert _cmp(cells[i], cells[j]) == _cmp(rep[i], rep[j])
+
+
+# --- typed errors -------------------------------------------------------------
+
+
+def test_point_value_of_an_open_interval_is_a_range_error():
+    with pytest.raises(RegionRangeError):
+        P01.point_value(2)
+
+
+def test_slr_representative_rejects_two_blocks_in_one_point():
+    # blocks 0 and 1 both claim the point interval of 0
+    cls = RegionClass(((0, 1), (1, 1)), FAMILY_SLR)
+    with pytest.raises(RegionRangeError):
+        representative_slr(cls, P0)
+
+
+def test_bounded_subclass_needs_an_unbounded_class():
+    with pytest.raises(ValueError):
+        bounded_subclass(class_of_bd([Fraction(1, 2)], 1, bounded=True))
+
+
+def test_slr_representative_needs_the_partition():
+    with pytest.raises(ValueError):
+        representative(class_of_slr([Fraction(1, 2)], P01))

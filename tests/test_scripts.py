@@ -1,0 +1,40 @@
+"""Smoke runs of the analysis scripts on small arguments.
+
+Each script runs in a subprocess against this checkout's sources; it must
+exit 0 and report no broken round trip, census mismatch or disagreement.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+RUNS = [
+    ["region_census.py", "--mode", "bd", "--max-arity", "2", "--step", "4"],
+    ["region_census.py", "--mode", "bd", "--max-arity", "2", "--step", "4", "--bounded"],
+    ["region_census.py", "--mode", "slr", "--points", "0,1", "--max-arity", "2", "--step", "4"],
+    ["ta_differential.py", "--seed", "1", "--count", "1"],
+    ["selection_growth.py", "--rounds", "2", "--sizes", "10"],
+]
+
+FAILURE_MARKS = ("BROKEN", "MISMATCH", "DISAGREE")
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=" ".join)
+def test_script_runs_clean(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) > 1
+    assert not [line for line in lines if any(m in line for m in FAILURE_MARKS)]

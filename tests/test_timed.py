@@ -195,7 +195,7 @@ def test_time_successor_chain_from_origin():
 
 def test_time_successor_never_skips_a_region():
     lam = 2
-    for cls in enumerate_bd_bounded(2, lam, floor_lo=[0, 0]):
+    for cls in enumerate_bd_bounded(2, lam, floor_lo=0):
         succ = time_successor(cls)
         rep = representative_bd(cls)
         hit = []
@@ -218,7 +218,7 @@ def test_time_successor_never_skips_a_region():
 
 @pytest.mark.parametrize("lam", [1])
 def test_delay_sets_equal_on_all_box_regions(lam):
-    for cls in enumerate_bd_bounded(2, lam, floor_lo=[0, 0]):
+    for cls in enumerate_bd_bounded(2, lam, floor_lo=0):
         assert delay_sets_equal_check(cls, lam)
 
 
