@@ -43,8 +43,7 @@ def _cmd_decide(args) -> int:
         if args.naive:
             report = naive_decide(n, atom_budget=args.atom_budget)
         else:
-            report = decide(n, max_candidates=args.max_candidates,
-                            symmetry=not args.no_symmetry)
+            report = decide(n, max_candidates=args.max_candidates)
     except (ResourceLimitError, NaiveBudgetError) as err:
         stats = getattr(err, "stats", None)
         report = ResultReport(STATUS_ERROR, detail=str(err),
@@ -182,8 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="use the naive uniform-interpretation enumerator")
     p.add_argument("--atom-budget", type=int, default=16, metavar="N",
                    help="atom limit for --naive")
-    p.add_argument("--no-symmetry", action="store_true",
-                   help="disable candidate symmetry pruning")
     p.set_defaults(fn=_cmd_decide)
 
     p = sub.add_parser("normalize", help="print the normal form of a clause file")

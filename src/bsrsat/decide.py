@@ -2,12 +2,12 @@
 
 Satisfiability is decided by exhaustively realizing the nondeterministic
 choices of the uniform-model construction: an ordered partition of the
-base constants (slr only), a ground witness gamma for it, a free domain
-with a free-constant assignment, and finally the predicate table.  The
-table is one bit per (predicate, free arguments, region class), found by
-reduction to propositional satisfiability; a candidate that solves the
-propositional instance is re-verified semantically on class
-representatives before SAT is reported.
+base constants (slr only), a ground witness gamma for it, a partition of
+the free constants (the free domain, one element per block), and finally
+the predicate table.  The table is one bit per (predicate, free
+arguments, region class), found by reduction to propositional
+satisfiability; a candidate that solves the propositional instance is
+re-verified semantically on class representatives before SAT is reported.
 
 All choice points are iterated in a fixed order, so verdicts, models and
 statistics are deterministic.
@@ -121,20 +121,17 @@ class InterpretationDescriptor:
 class _DescriptorModel:
     """Interpretation-protocol adapter: truth via classify-then-lookup."""
 
-    def __init__(self, desc: InterpretationDescriptor):
+    def __init__(self, desc: InterpretationDescriptor, ctx: _Context):
         self.desc = desc
+        self.ctx = ctx
         self.gamma = desc.gamma
 
     def free_value(self, const: str) -> str:
         return self.desc.fconst_assign[const]
 
     def holds(self, pred, free_args, base_args) -> bool:
-        d = self.desc
-        if d.mode == MODE_SLR:
-            cls = class_of_slr(base_args, d.partition)
-        else:
-            cls = class_of_bd(base_args, d.kappa, bounded=False)
-        return d.table.get(PropAtom(pred, tuple(free_args), cls), False)
+        cls = self.ctx.classify(base_args)
+        return self.desc.table.get(PropAtom(pred, tuple(free_args), cls), False)
 
 
 # --- grounding context ------------------------------------------------------
@@ -175,15 +172,6 @@ class _Context:
 def _kappa_of(cs: ClauseSet) -> int:
     biggest = max((abs(r) for r in cs.rationals()), default=Fraction(0))
     return max(1, int(biggest))
-
-
-def _make_context(N: NormalizedClauseSet, gamma=None) -> _Context:
-    cs = N.as_clause_set()
-    if N.mode == MODE_BD:
-        return _Context(MODE_BD, {}, kappa=_kappa_of(cs))
-    gamma = dict(gamma or {})
-    points = set(gamma.values()) | cs.rationals()
-    return _Context(MODE_SLR, gamma, partition=PartitionJ.make(points))
 
 
 # --- clause grounding -------------------------------------------------------
@@ -365,7 +353,7 @@ def _contexts(N: NormalizedClauseSet, cs: ClauseSet, stats: SolveStats):
     type for slr (ordering guesses that merge to the same gamma order are
     explored once)."""
     if N.mode == MODE_BD:
-        yield _make_context(N)
+        yield _Context(MODE_BD, {}, kappa=_kappa_of(cs))
         return
     skolems = sorted(cs.skolems)
     rats = sorted(cs.rationals())
@@ -390,34 +378,44 @@ def _contexts(N: NormalizedClauseSet, cs: ClauseSet, stats: SolveStats):
 # --- candidate enumeration --------------------------------------------------
 
 
-def _canonical_assignment(values, domain) -> bool:
-    seen: list[str] = []
-    for v in values:
-        if v not in seen:
-            seen.append(v)
-    return list(domain[: len(seen)]) == seen
+def _candidates(fconsts):
+    """One candidate (domain, assignment) per set partition of the free
+    constants: by block count k, then lexicographic in the assignment
+    tuple.  The domain is the first k names, and blocks take them in
+    order of first appearance (a restricted growth string), so every
+    assignment is onto its domain.
 
+    Nothing else needs trying.  Clauses are universal, and substructures
+    of models of universal clauses are models: the image of the
+    assignment carries a model whenever the whole domain does, so the
+    assignment may be taken onto its domain.  Two surjective candidates
+    that induce the same partition differ by a renaming of the domain.
 
-def _candidates(fconsts, symmetry: bool):
-    """Nonempty domains by size then lexicographic; assignments lexicographic.
-
-    With symmetry on, assignments are kept only when domain elements make
-    their first appearance in domain order (isomorphic candidates pruned).
-
-    Without free constants a single anonymous element suffices: the clauses
-    are universal, and substructures of models of universal clauses are
-    models.
+    Without free constants a single anonymous element suffices, by the
+    same argument.
     """
     names = sorted(fconsts)
     if not names:
         yield ("e1",), {}
         return
-    for size in range(1, len(names) + 1):
-        for domain in itertools.combinations(names, size):
-            for values in itertools.product(domain, repeat=len(names)):
-                if symmetry and not _canonical_assignment(values, domain):
-                    continue
-                yield domain, dict(zip(names, values))
+    for k in range(1, len(names) + 1):
+        for blocks in _growth_strings(len(names), k):
+            yield tuple(names[:k]), {n: names[b] for n, b in zip(names, blocks)}
+
+
+def _growth_strings(n: int, k: int, prefix: tuple[int, ...] = ()):
+    """Restricted growth strings of length n over exactly k blocks, in
+    lexicographic order: each entry is at most one more than the largest
+    before it."""
+    used = max(prefix, default=-1) + 1
+    if len(prefix) == n:
+        if used == k:
+            yield prefix
+        return
+    if k - used > n - len(prefix):
+        return  # too few places left to open the missing blocks
+    for b in range(min(used + 1, k)):
+        yield from _growth_strings(n, k, prefix + (b,))
 
 
 # --- deciding ---------------------------------------------------------------
@@ -444,7 +442,6 @@ def decide(
     N: NormalizedClauseSet,
     *,
     max_candidates: int | None = None,
-    symmetry: bool = True,
 ) -> ResultReport:
     """Exhaustive uniform-model search; SAT with a verified model, or UNSAT.
 
@@ -455,13 +452,13 @@ def decide(
     stats = SolveStats()
     counters = {"decisions": 0}
     try:
-        return _decide_inner(N, stats, counters, max_candidates, symmetry)
+        return _decide_inner(N, stats, counters, max_candidates)
     finally:
         stats.decisions = counters["decisions"]
         stats.wall_ms = int((time.perf_counter() - t0) * 1000)
 
 
-def _decide_inner(N, stats, counters, max_candidates, symmetry) -> ResultReport:
+def _decide_inner(N, stats, counters, max_candidates) -> ResultReport:
     validate_normal_form(N)
     cs = N.as_clause_set()
     for ctx in _contexts(N, cs, stats):
@@ -470,7 +467,7 @@ def _decide_inner(N, stats, counters, max_candidates, symmetry) -> ResultReport:
             g = _ground_clause(ctx, cl, stats)
             if g is not None:
                 gclauses.append(g)
-        for domain, assign in _candidates(cs.fconsts, symmetry):
+        for domain, assign in _candidates(cs.fconsts):
             stats.candidates += 1
             if max_candidates is not None and stats.candidates > max_candidates:
                 raise ResourceLimitError(
@@ -500,7 +497,7 @@ def verify_model(N: NormalizedClauseSet, desc: InterpretationDescriptor) -> bool
     representatives."""
     cs = N.as_clause_set()
     ctx = _Context(desc.mode, desc.gamma, kappa=desc.kappa, partition=desc.partition)
-    interp = _DescriptorModel(desc)
+    interp = _DescriptorModel(desc, ctx)
     for cl in cs.clauses:
         bvars = cl.base_vars()
         fvars = cl.free_vars()
@@ -521,17 +518,26 @@ def verify_model(N: NormalizedClauseSet, desc: InterpretationDescriptor) -> bool
 
 def naive_decide(N: NormalizedClauseSet, *, atom_budget: int = 16) -> ResultReport:
     """Uniform-interpretation search by exhaustive predicate-table
-    enumeration, no propositional reduction, no symmetry pruning, no
-    class-stream restriction; clause truth comes from representative
-    evaluation and classify-after-project.  Test oracle for decide."""
+    enumeration over every nonempty domain subset and every free-constant
+    assignment into it, no propositional reduction, no class-stream
+    restriction; clause truth comes from representative evaluation and
+    classify-after-project.  Test oracle for decide."""
     t0 = time.perf_counter()
     stats = SolveStats()
     validate_normal_form(N)
     cs = N.as_clause_set()
+    names = sorted(cs.fconsts)
+    pool = names or ["e1"]
     try:
         for ctx in _contexts(N, cs, stats):
             sem = _semantic_clauses(ctx, cs, stats)
-            for domain, assign in _candidates(cs.fconsts, symmetry=False):
+            candidates = (
+                (domain, dict(zip(names, values)))
+                for size in range(1, len(pool) + 1)
+                for domain in itertools.combinations(pool, size)
+                for values in itertools.product(domain, repeat=len(names))
+            )
+            for domain, assign in candidates:
                 stats.candidates += 1
                 found = _naive_candidate(sem, domain, assign, atom_budget)
                 if found is None:

@@ -144,7 +144,8 @@ def _solve_ineqs(ineqs: list[Ineq]) -> dict[str, Fraction] | None:
                         continue
                     return None
                 current.append((e, strict))
-    assert not current
+    if current:
+        raise RuntimeError("internal error: FM elimination left a variable behind")
 
     gamma: dict[str, Fraction] = {}
     for name, lowers, uppers in reversed(steps):
@@ -169,7 +170,10 @@ def _solve_ineqs(ineqs: list[Ineq]) -> dict[str, Fraction] | None:
         elif hi is None:
             gamma[name] = lo + 1
         else:
-            assert lo < hi or (lo == hi and not lo_strict and not hi_strict)
+            if not (lo < hi or (lo == hi and not lo_strict and not hi_strict)):
+                raise RuntimeError(
+                    f"internal error: empty interval for {name} after FM elimination"
+                )
             gamma[name] = (lo + hi) / 2
     return gamma
 

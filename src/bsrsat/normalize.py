@@ -156,22 +156,6 @@ def _scale_constraint(c: Constraint, scale: int) -> Constraint:
     raise FragmentError(f"cannot scale constraint {c}")
 
 
-# --- purification ----------------------------------------------------------
-
-
-def purify(cs: ClauseSet) -> ClauseSet:
-    """Base terms inside atoms would be abstracted out here; the clause
-    grammar only admits variables in base positions, so this validates and
-    returns the set unchanged."""
-    for cl in cs.clauses:
-        for a in cl.gamma + cl.delta:
-            if isinstance(a, PredAtom):
-                for v in a.base_args:
-                    if not isinstance(v, str):
-                        raise FragmentError(f"non-variable base argument in {a}")
-    return _copy(cs)
-
-
 # --- constraint-only variable elimination ----------------------------------
 
 
@@ -438,7 +422,6 @@ def normalize(cs: ClauseSet) -> NormalizedClauseSet:
     out = pad_predicates(cs)
     if cs.mode == MODE_BD:
         out = scale_to_integers(out)
-    out = purify(out)
     out = eliminate_constraint_only_vars(out)
     provenance: dict[str, str] = {}
     if cs.mode == MODE_SLR:

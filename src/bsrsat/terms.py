@@ -32,6 +32,8 @@ class UnboundSymbolError(KeyError):
 
 def rat(x: RationalLike) -> Fraction:
     """Coerce to an exact rational, rejecting floats outright."""
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, float):
         raise FloatRejectedError(f"floats are not allowed, got {x!r}")
     return Fraction(x)
@@ -139,7 +141,8 @@ class GroundTerm:
 
     @property
     def skolem_name(self) -> str:
-        assert self.is_skolem
+        if not self.is_skolem:
+            raise ValueError(f"{self} is not a bare Skolem constant")
         return self.coeffs[0][0]
 
     def skolems(self) -> frozenset[str]:
@@ -592,6 +595,8 @@ class ClauseSet:
                             f"{t.name!r} used at both sorts in {a}"
                         )
                 for v in a.base_args:
+                    if not isinstance(v, str):
+                        raise FragmentError(f"non-variable base argument {v!r} in {a.pred}")
                     if v in self.fconsts or v in declared_sk:
                         raise SortDisciplineError(
                             f"base positions take variables only, got {v!r} in {a}"

@@ -1,15 +1,17 @@
 """Decision procedure: hand instances, model soundness, search limits."""
 
+import itertools
 import random
 
 import pytest
 
-from bsrsat import corpus
+from bsrsat import corpus, decide as decide_mod
 from bsrsat.decide import (
     NaiveBudgetError,
     ResourceLimitError,
+    _candidates,
+    _contexts,
     _ground_clause,
-    _make_context,
     decide,
     naive_decide,
     verify_model,
@@ -23,6 +25,7 @@ from bsrsat.report import (
     SolveStats,
     emit_result,
 )
+from bsrsat.terms import Clause, Equation, FreeTerm, PredAtom
 
 
 def run(text):
@@ -97,7 +100,9 @@ def test_grounded_rows_share_equal_selected_classes():
         "mode bd\npred P : S^1 R^1\nfreeconst a\n"
         "clause [x >= 0; x <= 2; y >= 0; y <= 2] [] -> [P(a, x); P(a, y)]\n"
     ))
-    g = _ground_clause(_make_context(n), n.as_clause_set().clauses[0], SolveStats())
+    cs = n.as_clause_set()
+    (ctx,) = _contexts(n, cs, SolveStats())
+    g = _ground_clause(ctx, cs.clauses[0], SolveStats())
     picked = [c for row in g.rows for c in row]
     assert len(g.rows) == 25
     assert len({id(c) for c in picked}) == len(set(picked)) == 5
@@ -206,11 +211,94 @@ def test_max_candidates_raises_with_stats():
     assert exc.value.stats.candidates == 2
 
 
-def test_symmetry_toggle_preserves_verdicts():
-    rng = random.Random(32)
-    for _ in range(4):
-        n = normalize(corpus._raw_bd(rng))
-        assert decide(n).status == decide(n, symmetry=False).status
+# --- free-constant candidates -----------------------------------------------
+
+
+@pytest.mark.parametrize("n, bell", [(0, 1), (1, 1), (2, 2), (3, 5), (4, 15), (5, 52)])
+def test_candidates_are_one_per_set_partition(n, bell):
+    names = [f"c{i}" for i in range(n)]
+    cands = list(_candidates(reversed(names)))
+    assert len(cands) == bell
+    if n == 0:
+        assert cands == [(("e1",), {})]
+        return
+    partitions = set()
+    for domain, assign in cands:
+        k = len(domain)
+        assert domain == tuple(names[:k])
+        assert set(assign) == set(names)
+        assert set(assign.values()) == set(domain)
+        partitions.add(frozenset(
+            frozenset(c for c in names if assign[c] == d) for d in domain
+        ))
+    assert len(partitions) == bell
+    # by block count, then lexicographic in the assignment tuple, blocks
+    # labelled in order of first appearance
+    keys = [(len(d), tuple(a[c] for c in names)) for d, a in cands]
+    assert keys == sorted(keys)
+    for _, values in keys:
+        firsts = list(dict.fromkeys(values))
+        assert firsts == names[: len(firsts)]
+
+
+def _exhaustive_candidates(fconsts):
+    """Every nonempty domain subset crossed with every assignment into it."""
+    names = sorted(fconsts)
+    for size in range(1, len(names) + 1):
+        for domain in itertools.combinations(names, size):
+            for values in itertools.product(domain, repeat=len(names)):
+                yield domain, dict(zip(names, values))
+
+
+def _with_constant_c(cs):
+    """cs plus a free constant c, distinct from a, standing for a in a copy
+    of cs's first clause."""
+    a, c = FreeTerm("a", True), FreeTerm("c", True)
+
+    def sub(t):
+        return c if t == a else t
+
+    def swap(atom):
+        if isinstance(atom, Equation):
+            return Equation(sub(atom.left), sub(atom.right))
+        return PredAtom(atom.pred, tuple(map(sub, atom.free_args)), atom.base_args)
+
+    first = cs.clauses[0]
+    cs.clauses.append(Clause.make(
+        list(first.lam), [swap(x) for x in first.gamma], [swap(x) for x in first.delta]
+    ))
+    cs.clauses.append(Clause.make([], [Equation(a, c)], []))
+    cs.fconsts = list(cs.fconsts) + ["c"]
+    return cs
+
+
+def _non_stat_lines(report):
+    return [
+        line for line in emit_result(report, "structured").splitlines()
+        if not line.startswith("stat ")
+    ]
+
+
+def test_partition_candidates_match_exhaustive_candidates(monkeypatch):
+    rng = random.Random(41)
+    sets = [
+        normalize(parse_clause_set(
+            "mode bd\npred P : S^1 R^1\nfreeconst a b c\n"
+            "clause [] [a ~ b] -> []\nclause [] [] -> [a ~ c]\n"
+            "clause [x >= 0; x <= 1] [P(b, x)] -> [P(c, x)]\n"
+        ))
+    ]
+    for i in range(16):
+        raw = (corpus._raw_bd, corpus._raw_slr)[i % 2](rng)
+        sets.append(normalize(_with_constant_c(raw) if i % 4 < 2 else raw))
+    assert sum(len(n.fconsts) >= 3 for n in sets) >= 3
+    reports = [decide(n) for n in sets]
+    monkeypatch.setattr(decide_mod, "_candidates", _exhaustive_candidates)
+    for n, r in zip(sets, reports):
+        old = decide(n)
+        assert r.status == old.status
+        assert _non_stat_lines(r) == _non_stat_lines(old)
+        assert r.stats.candidates <= old.stats.candidates
 
 
 def test_naive_budget_error():

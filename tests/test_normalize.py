@@ -13,7 +13,6 @@ from bsrsat.normalize import (
     eliminate_constraint_only_vars,
     normalize,
     pad_predicates,
-    purify,
     rename_apart,
     scale_to_integers,
     split_ground_terms,
@@ -272,9 +271,12 @@ def test_normalize_rejects_folla():
         normalize(ClauseSet("folla", [], {}, ["a"], []))
 
 
-def test_purify_is_identity_on_valid_sets():
-    cs = bd_set([Clause.make([], [], [atom("P", "x")])], {"P": (0, 1)})
-    assert purify(cs).clauses == cs.clauses
+def test_validate_rejects_non_variable_base_argument():
+    cs = bd_set([Clause.make([], [], [atom("P", Fraction(1))])], {"P": (0, 1)})
+    with pytest.raises(FragmentError):
+        cs.validate()
+    with pytest.raises(FragmentError):
+        normalize(cs)
 
 
 # --- validator errors -------------------------------------------------------

@@ -40,6 +40,8 @@ def test_rat_accepts_exact_inputs():
     assert rat(3) == Fraction(3)
     assert rat("2/7") == Fraction(2, 7)
     assert rat(Fraction(-1, 2)) == Fraction(-1, 2)
+    f = Fraction(5, 3)
+    assert rat(f) is f
 
 
 def test_rat_rejects_floats():
@@ -77,6 +79,8 @@ def test_ground_term_classification():
     assert d.is_skolem and d.skolem_name == "d"
     assert d.is_constant_ref
     assert not GroundTerm.make(1, {"d": 1}).is_constant_ref
+    with pytest.raises(ValueError):
+        GroundTerm.make(1, {"d": 1}).skolem_name
 
 
 def test_ground_term_arithmetic():
