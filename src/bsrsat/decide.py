@@ -332,26 +332,11 @@ def _preorder_gamma(pre, def_constraints, skolems):
     return solve_ground(sys, names=list(skolems))
 
 
-def _order_key(pre, gamma):
-    """Order type induced by gamma on the preorder's elements."""
-
-    def label(e):
-        return ("q", str(e)) if isinstance(e, Fraction) else ("s", e)
-
-    def value(e):
-        return e if isinstance(e, Fraction) else gamma[e]
-
-    groups: dict[Fraction, list] = {}
-    for block in pre:
-        for e in block:
-            groups.setdefault(value(e), []).append(label(e))
-    return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
-
-
 def _contexts(N: NormalizedClauseSet, cs: ClauseSet, stats: SolveStats):
-    """The arithmetic branches: one for bd, one per distinct gamma order
-    type for slr (ordering guesses that merge to the same gamma order are
-    explored once)."""
+    """The arithmetic branches: one for bd, one per feasible preorder of
+    the Skolem constants and rationals for slr.  Each witness realizes its
+    preorder exactly (``_preorder_gamma``), so no two branches share a
+    gamma order type."""
     if N.mode == MODE_BD:
         yield _Context(MODE_BD, {}, kappa=_kappa_of(cs))
         return
@@ -361,16 +346,11 @@ def _contexts(N: NormalizedClauseSet, cs: ClauseSet, stats: SolveStats):
         (GroundTerm.skolem(c.lam[0].skolem), Relation.EQ, c.lam[0].term)
         for c in cs.def_clauses()
     ]
-    seen = set()
     for pre in enumerate_preorders(skolems, rats):
         stats.preorders += 1
         gamma = _preorder_gamma(pre, defs, skolems)
         if gamma is None:
             continue
-        key = _order_key(pre, gamma)
-        if key in seen:
-            continue
-        seen.add(key)
         points = set(gamma.values()) | set(rats)
         yield _Context(MODE_SLR, gamma, partition=PartitionJ.make(points))
 

@@ -57,7 +57,7 @@ class NormalizedClauseSet:
     signature: dict[str, tuple[int, int]]
     fconsts: list[str]
     skolems: list[str]
-    provenance: dict[str, str] = field(default_factory=dict)
+    provenance: dict[str, str] = field(default_factory=dict, compare=False)
 
     def as_clause_set(self) -> ClauseSet:
         return ClauseSet(
@@ -66,18 +66,6 @@ class NormalizedClauseSet:
             dict(self.signature),
             list(self.fconsts),
             list(self.skolems),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NormalizedClauseSet):
-            return NotImplemented
-        return (
-            self.mode == other.mode
-            and self.n_def == other.n_def
-            and self.n_prime == other.n_prime
-            and self.signature == other.signature
-            and self.fconsts == other.fconsts
-            and self.skolems == other.skolems
         )
 
 

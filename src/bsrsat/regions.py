@@ -22,8 +22,12 @@ itself, and a selection operation: reindexing a tuple through ``idx`` maps
 classes to classes.
 
 Premise constraints compile to checks on cells (``compile_checks``);
-``check_holds`` is the one place that decides them, both on finished
-classes and on the partial classes that the enumerators prune.
+``check_holds`` is the one place that decides them.  A constant bound reads
+only the cell of its own coordinate, so the enumerators settle the bounds
+once per coordinate (``_admitted``) before their loops and never check one
+inside them.  Var-var and difference checks read two coordinates; the
+enumerators decide them on partial classes, as soon as both coordinates are
+placed.
 """
 
 from __future__ import annotations
@@ -212,11 +216,13 @@ def enumerate_slr_classes(
     """All classes, deterministically: ordered partitions, then interval maps.
 
     ``checks`` (from ``compile_checks``) prune the stream without changing
-    its order: var-var checks are decided once the ordered partition is
-    chosen, a bound once its coordinate's block has an interval.  The
-    classes skipped are exactly those on which some check fails.
+    its order.  Bounds are settled per coordinate before the loops: a block
+    takes only the intervals admitted for all of its coordinates.  Var-var
+    checks are decided once the ordered partition is chosen.  The classes
+    skipped are exactly those on which some check fails.
     """
-    n_int = partition.interval_count
+    intervals = [(None, iv) for iv in range(partition.interval_count)]
+    admitted = [{iv for _, iv in _admitted(c, intervals, checks)} for c in range(arity)]
     for part in ordered_set_partitions(tuple(range(arity))):
         # Until the intervals are placed a cell holds only its block index,
         # which alone orders the coordinates.
@@ -226,36 +232,24 @@ def enumerate_slr_classes(
                 cells[c] = (bi, None)
         if not all(check_holds(ch, cells) for ch in checks if ch[0] == "varvar"):
             continue
-        staged: list[list[tuple]] = [[] for _ in part]
-        for ch in checks:
-            if ch[0] == "slr_const":
-                staged[cells[ch[2]][0]].append(ch)
         block_of = [b for b, _ in cells]
-        for idxs in _interval_assignments(part, n_int, cells, staged):
+        per_block = [sorted(set.intersection(*(admitted[c] for c in block))) for block in part]
+        for idxs in _interval_assignments(per_block):
             yield RegionClass(tuple((b, idxs[b]) for b in block_of), FAMILY_SLR)
 
 
-def _interval_assignments(
-    blocks: Sequence[tuple[int, ...]], n_intervals: int, cells: list, staged
-) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing interval index sequences; point intervals never repeat.
-
-    An interval is skipped for block ``pos`` when one of the bound checks in
-    ``staged[pos]`` fails on it; ``cells`` receives the placed intervals.
-    """
-    nblocks = len(blocks)
+def _interval_assignments(per_block: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    """Nondecreasing interval index sequences, block ``pos`` taking an
+    interval of ``per_block[pos]`` (ascending); point intervals never repeat."""
+    nblocks = len(per_block)
 
     def rec(pos: int, minimum: int) -> Iterator[tuple[int, ...]]:
         if pos == nblocks:
             yield ()
             return
-        block, bounds = blocks[pos], staged[pos]
-        for idx in range(minimum, n_intervals):
-            if bounds:
-                for c in block:
-                    cells[c] = (pos, idx)
-                if not all(check_holds(ch, cells) for ch in bounds):
-                    continue
+        for idx in per_block[pos]:
+            if idx < minimum:
+                continue
             nxt = idx + 1 if idx % 2 == 1 else idx
             for tail in rec(pos + 1, nxt):
                 yield (idx,) + tail
@@ -351,33 +345,33 @@ def enumerate_bd_unbounded(
     +/-kappa, fr-zero flags, fractional order, then floors.
 
     ``checks`` (from ``compile_checks``) prune the stream without changing
-    its order.  Bounds are decided when the buckets are chosen (beyond
-    +/-kappa) or when the fr-zero flags and floors are (in range); var-var
-    and difference checks once both of their coordinates are placed, which
-    for an in-range coordinate means its floor.  The classes skipped are
-    exactly those on which some check fails.
+    its order.  Bounds are settled per coordinate before the loops: a
+    coordinate takes only its admitted buckets and, in range, its admitted
+    floors for each fr-zero flag.  Var-var and difference checks are decided
+    once both of their coordinates are placed, which for an in-range
+    coordinate means its floor.  The classes skipped are exactly those on
+    which some check fails.
     """
     coords = tuple(range(arity))
-    bounds = [[ch for ch in checks if ch[0] == "bd_const" and ch[2] == c] for c in coords]
-    # floor_opts[c][zero]: the in-range floors of coordinate c that its
-    # bounds admit, given whether its fractional part vanishes.
-    floor_opts = [
-        [_admitted_floors(kappa, c, zero, bounds[c]) for zero in (False, True)]
-        for c in coords
+    # What a bound reads of a cell: the bucket, and in range the floor and
+    # whether the fractional part vanishes (rank 0) or not (rank 1).
+    bound_cells = [
+        (BUCKET_BELOW, 0, 0),
+        *((BUCKET_IN, f, r) for r in (1, 0) for f in range(-kappa, kappa + 1 - r)),
+        (BUCKET_ABOVE, 0, 0),
     ]
-    for buckets in itertools.product((BUCKET_BELOW, BUCKET_IN, BUCKET_ABOVE), repeat=arity):
+    admitted = [_admitted(c, bound_cells, checks) for c in coords]
+    # floor_opts[c][zero]: the in-range floors admitted for coordinate c,
+    # given whether its fractional part vanishes.
+    floor_opts = [
+        [[f for bk, f, r in adm if bk == BUCKET_IN and (r == 0) == zero] for zero in (False, True)]
+        for adm in admitted
+    ]
+    bucket_opts = [sorted({bk for bk, _, _ in adm}) for adm in admitted]
+    for buckets in itertools.product(*bucket_opts):
         inside = tuple(c for c in coords if buckets[c] == BUCKET_IN)
-        # Until ranks and floors are placed a cell holds only its bucket,
-        # which alone decides a bound beyond +/-kappa.
+        # Until ranks and floors are placed a cell holds only its bucket.
         cells: list = [(b, 0, 0) for b in buckets]
-        if not all(
-            check_holds(ch, cells)
-            for c in coords if buckets[c] != BUCKET_IN
-            for ch in bounds[c]
-        ):
-            continue
-        if not all(floor_opts[c][0] or floor_opts[c][1] for c in inside):
-            continue
         outer, staged = _stage_bd_checks(checks, inside)
         below = tuple(c for c in coords if buckets[c] == BUCKET_BELOW)
         above = tuple(c for c in coords if buckets[c] == BUCKET_ABOVE)
@@ -404,17 +398,12 @@ def enumerate_bd_unbounded(
                             yield RegionClass(tuple(cells), FAMILY_BD_UNBOUNDED, kappa)
 
 
-def _admitted_floors(kappa: int, c: int, zero: bool, bounds) -> Sequence[int]:
-    """In range a bound reads only the floor and whether the fractional part
-    vanishes, so the floors it admits are settled once per flag."""
-    floors = range(-kappa, (kappa if zero else kappa - 1) + 1)
-    if not bounds:
-        return floors
-    rank = 0 if zero else 1
-    return [
-        f for f in floors
-        if all(check_holds(ch, {c: (BUCKET_IN, f, rank)}) for ch in bounds)
-    ]
+def _admitted(c: int, cells: Sequence[tuple], checks: Sequence[tuple]) -> list[tuple]:
+    """The candidate ``cells`` of coordinate ``c`` on which every bound on
+    ``c`` holds, in their order.  A bound reads only the cell of its own
+    coordinate, so this settles it once for every class."""
+    bounds = [ch for ch in checks if ch[0] in ("bd_const", "slr_const") and ch[2] == c]
+    return [cell for cell in cells if all(check_holds(ch, {c: cell}) for ch in bounds)]
 
 
 def _stage_bd_checks(checks, inside):

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Protocol, Union
 
-Rational = Fraction
-
 RationalLike = Union[int, str, Fraction]
 
 
@@ -537,20 +535,6 @@ class ClauseSet:
 
     def def_clauses(self) -> list[Clause]:
         return [c for c in self.clauses if c.is_def_clause()]
-
-    def core_clauses(self) -> list[Clause]:
-        return [c for c in self.clauses if not c.is_def_clause()]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ClauseSet):
-            return NotImplemented
-        return (
-            self.mode == other.mode
-            and self.clauses == other.clauses
-            and self.signature == other.signature
-            and self.fconsts == other.fconsts
-            and self.skolems == other.skolems
-        )
 
     def validate(self) -> None:
         """Check sort discipline, arities, and the difference-bound guard."""

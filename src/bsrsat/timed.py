@@ -31,10 +31,12 @@ from .terms import (
     DeltaEq,
     DiffConst,
     FreeTerm,
+    GroundTerm,
     PredAtom,
     Relation,
     VarConst,
     VarVar,
+    constraint_vars,
     eval_constraint,
     rat,
 )
@@ -215,11 +217,11 @@ def encode_fol_la(aut: TimedAutomaton) -> ClauseSet:
     aut.validate()
     xs = aut.clocks
     clauses: list[Clause] = []
-    lam0: list = [VarConst(x, Relation.EQ, _zero()) for x in xs]
+    lam0: list = [VarConst(x, Relation.EQ, GroundTerm.constant(0)) for x in xs]
     lam0 += list(aut.invariant(aut.initial).atoms)
     clauses.append(Clause.make(lam0, [], [reach_atom(aut.initial, xs)]))
     for loc in aut.locations:
-        lam: list = [VarConst(DELTA_VAR, Relation.GE, _zero())]
+        lam: list = [VarConst(DELTA_VAR, Relation.GE, GroundTerm.constant(0))]
         lam += [DeltaEq(_prime(x), x, DELTA_VAR) for x in xs]
         lam += _primed_atoms(aut.invariant(loc))
         clauses.append(
@@ -229,7 +231,7 @@ def encode_fol_la(aut: TimedAutomaton) -> ClauseSet:
         lam = list(t.guard.atoms)
         for x in xs:
             if x in t.resets:
-                lam.append(VarConst(_prime(x), Relation.EQ, _zero()))
+                lam.append(VarConst(_prime(x), Relation.EQ, GroundTerm.constant(0)))
             else:
                 lam.append(VarVar(_prime(x), Relation.EQ, x))
         lam += _primed_atoms(aut.invariant(t.target))
@@ -242,12 +244,6 @@ def encode_fol_la(aut: TimedAutomaton) -> ClauseSet:
         signature={REACH: (1, len(xs))},
         fconsts=list(aut.locations),
     )
-
-
-def _zero():
-    from .terms import GroundTerm
-
-    return GroundTerm.constant(0)
 
 
 # --- delay lowering --------------------------------------------------------
@@ -337,7 +333,7 @@ def lower_delay_clauses(cs: ClauseSet, lam: int) -> ClauseSet:
         rest = [
             c
             for c in cl.lam
-            if not isinstance(c, DeltaEq) and z not in _constraint_var_set(c)
+            if not isinstance(c, DeltaEq) and z not in constraint_vars(c)
         ]
         n = len(clocks)
         if n not in profiles_cache:
@@ -354,20 +350,12 @@ def lower_delay_clauses(cs: ClauseSet, lam: int) -> ClauseSet:
     return ClauseSet(cs.mode, out, dict(cs.signature), list(cs.fconsts), list(cs.skolems))
 
 
-def _constraint_var_set(c) -> frozenset[str]:
-    from .terms import constraint_vars
-
-    return frozenset(constraint_vars(c))
-
-
 def bound_clocks(cs: ClauseSet, kappa: int) -> ClauseSet:
     """Conjoin 0 <= v and v < kappa for every base variable of every clause.
 
     This turns the lowered encoding into a valid BSR(BD) clause set: every
     difference constraint becomes two-sided bounded.
     """
-    from .terms import GroundTerm
-
     lo = GroundTerm.constant(0)
     hi = GroundTerm.constant(kappa)
     out: list[Clause] = []

@@ -19,3 +19,17 @@ def test_no_bare_asserts_in_package():
     ]
     assert SOURCES
     assert found == []
+
+
+def test_no_function_level_imports_in_package():
+    # imports belong at the top of a module, where its dependencies show
+    found = [
+        f"{path.name}:{inner.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    ]
+    assert SOURCES
+    assert found == []
