@@ -55,8 +55,6 @@ from .terms import (
     GroundTerm,
     Relation,
     SkolemDef,
-    VarConst,
-    eval_clause,
     eval_constraint,
 )
 
@@ -118,22 +116,6 @@ class InterpretationDescriptor:
         ]
 
 
-class _DescriptorModel:
-    """Interpretation-protocol adapter: truth via classify-then-lookup."""
-
-    def __init__(self, desc: InterpretationDescriptor, ctx: _Context):
-        self.desc = desc
-        self.ctx = ctx
-        self.gamma = desc.gamma
-
-    def free_value(self, const: str) -> str:
-        return self.desc.fconst_assign[const]
-
-    def holds(self, pred, free_args, base_args) -> bool:
-        cls = self.ctx.classify(base_args)
-        return self.desc.table.get(PropAtom(pred, tuple(free_args), cls), False)
-
-
 # --- grounding context ------------------------------------------------------
 
 
@@ -141,9 +123,9 @@ class _Context:
     """One fully fixed arithmetic side: mode plus gamma plus kappa/partition.
 
     Class streams are generated afresh on every request and kept by no
-    one: the checks that prune them (compiled premise constraints,
-    ``regions.compile_checks``; none for the full stream) differ from
-    clause to clause, so a stream is rarely asked for twice.
+    one: the checks that prune them (a clause's compiled premise,
+    ``_premise``) differ from clause to clause, so a stream is rarely asked
+    for twice.  Only the naive oracle asks for the full stream (no checks).
     """
 
     def __init__(self, mode, gamma, kappa=None, partition=None):
@@ -194,14 +176,10 @@ def _class_ok(cls, checks) -> bool:
     return all(check_holds(ch, cells) for ch in checks)
 
 
-def _ground_clause(ctx: _Context, cl, stats: SolveStats) -> _GClause | None:
-    """Candidate-independent grounding; None when the clause can never
-    constrain a candidate (a ground premise conjunct is false, or no
-    region class satisfies the variable premise).
-
-    The class stream is pruned by all premise checks; ``_class_ok`` still
-    judges every class it yields.
-    """
+def _premise(ctx: _Context, cl):
+    """A clause's arithmetic premise in context: (base variables, their
+    indices, the compiled checks on the variable conjuncts), or None when
+    a ground conjunct is false, so that the clause holds everywhere."""
     for c in cl.lam:
         if isinstance(c, DeltaEq):
             raise FragmentError("delay equations must be lowered before deciding")
@@ -212,7 +190,21 @@ def _ground_clause(ctx: _Context, cl, stats: SolveStats) -> _GClause | None:
     var_cons = [c for c in cl.lam if not isinstance(c, (GroundCmp, SkolemDef))]
     bvars = cl.base_vars()
     vidx = {v: i for i, v in enumerate(bvars)}
-    checks = ctx.checks(var_cons, vidx)
+    return bvars, vidx, ctx.checks(var_cons, vidx)
+
+
+def _ground_clause(ctx: _Context, cl, stats: SolveStats) -> _GClause | None:
+    """Candidate-independent grounding; None when the clause can never
+    constrain a candidate (a ground premise conjunct is false, or no
+    region class satisfies the variable premise).
+
+    The class stream is pruned by all premise checks; ``_class_ok`` still
+    judges every class it yields.
+    """
+    premise = _premise(ctx, cl)
+    if premise is None:
+        return None
+    bvars, vidx, checks = premise
     stream = list(ctx.classes(len(bvars), checks))
     stats.classes += len(stream)
     survivors = [cls for cls in stream if _class_ok(cls, checks)]
@@ -243,22 +235,30 @@ def _ground_clause(ctx: _Context, cl, stats: SolveStats) -> _GClause | None:
     )
 
 
+def _open_assignments(free_vars, eq_neg, eq_pos, domain, assign):
+    """Term resolvers, one per assignment of the free variables into the
+    domain that no equation settles (a premise equation false or a
+    conclusion equation true would make the clause hold outright)."""
+    for env_vals in itertools.product(domain, repeat=len(free_vars)):
+        env = dict(zip(free_vars, env_vals))
+
+        def res(t: FreeTerm, env=env) -> str:
+            return assign[t.name] if t.is_const else env[t.name]
+
+        if any(res(e.left) != res(e.right) for e in eq_neg):
+            continue
+        if any(res(e.left) == res(e.right) for e in eq_pos):
+            continue
+        yield res
+
+
 def _instantiate(gclauses, domain, assign):
     """Propositional instance for one candidate (domain, assignment)."""
     atom_ids: dict[PropAtom, int] = {}
     clauses: list[tuple[int, ...]] = []
     seen: set[frozenset[int]] = set()
     for g in gclauses:
-        for env_vals in itertools.product(domain, repeat=len(g.free_vars)):
-            env = dict(zip(g.free_vars, env_vals))
-
-            def res(t: FreeTerm) -> str:
-                return assign[t.name] if t.is_const else env[t.name]
-
-            if any(res(e.left) != res(e.right) for e in g.eq_neg):
-                continue  # a premise equation is false: clause holds
-            if any(res(e.left) == res(e.right) for e in g.eq_pos):
-                continue  # a conclusion equation is true: clause holds
+        for res in _open_assignments(g.free_vars, g.eq_neg, g.eq_pos, domain, assign):
             resolved = [tuple(res(t) for t in fts) for _, _, fts in g.skeletons]
             for row in g.rows:
                 lits = []
@@ -471,24 +471,56 @@ def _decide_inner(N, stats, counters, max_candidates) -> ResultReport:
 
 def verify_model(N: NormalizedClauseSet, desc: InterpretationDescriptor) -> bool:
     """Semantic check of every clause on every class representative and
-    free assignment.  The class streams are pruned by the premise bounds
-    only: every member of a skipped class falsifies a bound, so the clause
-    holds there; the classes that remain are judged on their
-    representatives."""
+    free assignment.
+
+    A clause's class stream is pruned by all its premise checks: every
+    member of a skipped class falsifies a premise constraint, so the
+    clause holds there.  The free assignments that no equation settles are
+    listed once per clause.  Each streamed class is judged once: its
+    representative must satisfy the whole premise under ``eval_constraint``
+    before the assignments are checked against the table, and each base
+    projection is classified the first time an assignment needs it.
+    """
     cs = N.as_clause_set()
     ctx = _Context(desc.mode, desc.gamma, kappa=desc.kappa, partition=desc.partition)
-    interp = _DescriptorModel(desc, ctx)
     for cl in cs.clauses:
-        bvars = cl.base_vars()
-        fvars = cl.free_vars()
-        vidx = {v: i for i, v in enumerate(bvars)}
-        bounds = ctx.checks([c for c in cl.lam if isinstance(c, VarConst)], vidx)
-        for cls in ctx.classes(len(bvars), bounds):
+        premise = _premise(ctx, cl)
+        if premise is None:
+            continue
+        bvars, _, checks = premise
+        eq_neg = [a for a in cl.gamma if isinstance(a, Equation)]
+        eq_pos = [a for a in cl.delta if isinstance(a, Equation)]
+        atoms = [
+            (positive, a)
+            for positive, part in ((False, cl.gamma), (True, cl.delta))
+            for a in part
+            if not isinstance(a, Equation)
+        ]
+        cases = [
+            [(positive, a.pred, tuple(res(t) for t in a.free_args), a.base_args)
+             for positive, a in atoms]
+            for res in _open_assignments(
+                cl.free_vars(), eq_neg, eq_pos, desc.domain, desc.fconst_assign
+            )
+        ]
+        if not cases:
+            continue
+        for cls in ctx.classes(len(bvars), checks):
             rep = ctx.rep(cls)
-            for env_vals in itertools.product(desc.domain, repeat=len(fvars)):
-                assign: dict[str, object] = dict(zip(bvars, rep))
-                assign.update(zip(fvars, env_vals))
-                if not eval_clause(cl, interp, assign):
+            base = dict(zip(bvars, rep))
+            if not all(eval_constraint(c, base, ctx.gamma) for c in cl.lam):
+                continue
+            projected: dict[tuple[str, ...], object] = {}
+            for case in cases:
+                for positive, pred, free_args, base_args in case:
+                    pcls = projected.get(base_args)
+                    if pcls is None:
+                        pcls = projected[base_args] = ctx.classify(
+                            tuple(base[v] for v in base_args)
+                        )
+                    if desc.table.get(PropAtom(pred, free_args, pcls), False) == positive:
+                        break  # a premise atom is false or a conclusion atom true
+                else:
                     return False
     return True
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 from .linarith import GroundSystem, fm_project
 from .terms import (

@@ -21,7 +21,6 @@ small scale.  The decision procedures never call them.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Callable, Sequence
 
 

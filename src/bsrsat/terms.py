@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Protocol, Union
+from typing import Iterable, Mapping, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -604,51 +604,3 @@ class ClauseSet:
                 raise GuardViolationError(
                     f"difference constraint {c} needs two-sided bounds on {v!r}"
                 )
-
-
-# --- clause evaluation -----------------------------------------------------
-
-
-class Interpretation(Protocol):
-    """What clause evaluation needs from a model."""
-
-    gamma: Mapping[str, Fraction]
-
-    def free_value(self, const: str) -> str: ...
-
-    def holds(self, pred: str, free_args: tuple[str, ...], base_args: tuple[Fraction, ...]) -> bool: ...
-
-
-def _resolve_free(t: FreeTerm, interp: Interpretation, assign: Mapping[str, object]) -> str:
-    if t.is_const:
-        return interp.free_value(t.name)
-    if t.name not in assign:
-        raise UnboundSymbolError(f"free variable {t.name!r} has no value")
-    return assign[t.name]  # type: ignore[return-value]
-
-
-def eval_atom(a: FreeAtom, interp: Interpretation, assign: Mapping[str, object]) -> bool:
-    if isinstance(a, Equation):
-        return _resolve_free(a.left, interp, assign) == _resolve_free(a.right, interp, assign)
-    free = tuple(_resolve_free(t, interp, assign) for t in a.free_args)
-    base = []
-    for v in a.base_args:
-        if v not in assign:
-            raise UnboundSymbolError(f"variable {v!r} has no value")
-        base.append(assign[v])
-    return interp.holds(a.pred, free, tuple(base))  # type: ignore[arg-type]
-
-
-def eval_clause(cl: Clause, interp: Interpretation, assign: Mapping[str, object]) -> bool:
-    """Implication semantics over a single joint variable assignment."""
-    base = {v: val for v, val in assign.items() if isinstance(val, Fraction)}
-    for c in cl.lam:
-        if not eval_constraint(c, base, interp.gamma):
-            return True
-    for a in cl.gamma:
-        if not eval_atom(a, interp, assign):
-            return True
-    for a in cl.delta:
-        if eval_atom(a, interp, assign):
-            return True
-    return False

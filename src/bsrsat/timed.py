@@ -38,7 +38,6 @@ from .terms import (
     VarVar,
     constraint_vars,
     eval_constraint,
-    rat,
 )
 
 REACH = "Reach"

@@ -25,7 +25,7 @@ from bsrsat.report import (
     SolveStats,
     emit_result,
 )
-from bsrsat.terms import Clause, Equation, FreeTerm, PredAtom
+from bsrsat.terms import Clause, Equation, FreeTerm, PredAtom, VarConst
 
 
 def run(text):
@@ -195,6 +195,45 @@ def test_all_generated_sat_models_verify():
             continue
         assert verify_model(normalize(cs), r.model)
         seen += 1
+
+
+def test_verify_model_builds_one_representative_per_premise_class(monkeypatch):
+    # the var-var and difference premise of the last clause cut its
+    # bound-admitted stream; its equation settles u = a and leaves two of
+    # the four free assignments open, and each class still gets one
+    # representative
+    n = normalize(parse_clause_set(
+        "mode bd\npred P : S^1 R^1\npred Q : S^2 R^2\nfreeconst a b\n"
+        "clause [x < 0] [] -> [P(a, x)]\n"
+        "clause [x < 0] [P(b, x)] -> []\n"
+        "clause [x >= 0; x <= 2; y >= 0; y <= 2; x < y; x - y > -2] [] "
+        "-> [u ~ a; Q(u, v, x, y)]\n"
+    ))
+    r = decide(n)
+    assert r.status == STATUS_SAT
+    # the model holds Q only where the equation leaves the clause open
+    q_args = {atom.free_args for atom in r.model.table if atom.pred == "Q"}
+    assert q_args == {("b", "a"), ("b", "b")}
+    cs = n.as_clause_set()
+    (ctx,) = _contexts(n, cs, SolveStats())
+    premise_classes = bound_classes = 0
+    for cl in cs.clauses:
+        bvars = cl.base_vars()
+        vidx = {v: i for i, v in enumerate(bvars)}
+        bounds = [c for c in cl.lam if isinstance(c, VarConst)]
+        premise_classes += len(list(ctx.classes(len(bvars), ctx.checks(cl.lam, vidx))))
+        bound_classes += len(list(ctx.classes(len(bvars), ctx.checks(bounds, vidx))))
+    assert premise_classes < bound_classes
+    built = []
+    real = decide_mod.representative
+
+    def counting(cls, *args):
+        built.append(cls)
+        return real(cls, *args)
+
+    monkeypatch.setattr(decide_mod, "representative", counting)
+    assert verify_model(n, r.model)
+    assert len(built) == premise_classes
 
 
 # --- resource limits and options --------------------------------------------

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsrsat import corpus
@@ -99,13 +99,13 @@ def _assert_filter_equal(full, pruned, checks):
     assert list(pruned) == want
 
 
-def _assert_bound_stream_complete(full, pruned, bounds, names, gamma, partition=None):
-    """Every class whose representative satisfies all bounds is kept."""
+def _assert_bound_stream_complete(full, pruned, constraints, names, gamma, partition=None):
+    """Every class whose representative satisfies all the constraints is kept."""
     kept = set(pruned)
     for cls in full:
         if cls not in kept:
             base = dict(zip(names, representative(cls, partition)))
-            assert not all(eval_constraint(b, base, gamma) for b in bounds)
+            assert not all(eval_constraint(c, base, gamma) for c in constraints)
 
 
 # The bd draws are fixed: one at arity 4 and kappa 3 streams 282,781
@@ -161,6 +161,47 @@ def test_slr_bound_pruned_stream_keeps_every_admitted_class(premise):
         enumerate_slr_classes(arity, partition),
         enumerate_slr_classes(arity, partition, checks),
         bounds, names, gamma, partition,
+    )
+
+
+def _guarded(x, y, lo, hi):
+    return [
+        VarConst(v, rel, GroundTerm.constant(c))
+        for v in (x, y)
+        for rel, c in ((Relation.GE, lo), (Relation.LE, hi))
+    ]
+
+
+# Soundness of pruning by the whole premise, as verify_model does: a skipped
+# class must falsify some premise constraint on its representative.  The
+# fixed draws seldom cut a stream by a relational check, so the examples
+# make sure var-var and difference pruning are exercised.
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(bd_premises())
+@example((2, 1, [VarVar("x0", Relation.LT, "x1")]))
+@example((2, 1, _guarded("x0", "x1", 0, 1) + [DiffConst("x0", "x1", Relation.LT, Fraction(0))]))
+@example((3, 2, _guarded("x0", "x2", -1, 2) + [DiffConst("x2", "x0", Relation.GE, Fraction(1))]))
+def test_bd_pruned_stream_keeps_every_premise_class(premise):
+    arity, kappa, cons = premise
+    names = _names(arity)
+    checks = compile_checks(MODE_BD, cons, {v: i for i, v in enumerate(names)})
+    _assert_bound_stream_complete(
+        enumerate_bd_unbounded(arity, kappa),
+        enumerate_bd_unbounded(arity, kappa, checks),
+        cons, names, {},
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(slr_premises())
+def test_slr_pruned_stream_keeps_every_premise_class(premise):
+    arity, partition, gamma, cons = premise
+    names = _names(arity)
+    checks = compile_checks(MODE_SLR, cons, {v: i for i, v in enumerate(names)}, gamma, partition)
+    _assert_bound_stream_complete(
+        enumerate_slr_classes(arity, partition),
+        enumerate_slr_classes(arity, partition, checks),
+        cons, names, gamma, partition,
     )
 
 

@@ -33,3 +33,21 @@ def test_no_function_level_imports_in_package():
     ]
     assert SOURCES
     assert found == []
+
+
+def test_no_unused_imports_in_package():
+    # a top-level import that no code of its module reads is dead weight
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno}:{name}")
+    assert SOURCES
+    assert found == []

@@ -10,7 +10,6 @@ from bsrsat.terms import (
     Clause,
     ClauseSet,
     DiffConst,
-    Equation,
     FloatRejectedError,
     FragmentError,
     FreeTerm,
@@ -24,7 +23,6 @@ from bsrsat.terms import (
     SortDisciplineError,
     VarConst,
     VarVar,
-    eval_clause,
     eval_constraint,
     floor_fr,
     rat,
@@ -166,47 +164,6 @@ def test_clause_collects_variables_and_rationals():
     )
     assert set(cl.base_vars()) == {"x", "y"}
     assert Fraction(3, 2) in cl.rationals()
-
-
-def test_clause_eval_implication_semantics():
-    cl = Clause.make(
-        [VarConst("x", Relation.GE, GroundTerm.constant(0))],
-        [atom("P", "x", free=("a",))],
-        [atom("Q", "x", free=("a",))],
-    )
-
-    class Model:
-        gamma = {}
-
-        def free_value(self, const):
-            return const
-
-        def holds(self, pred, free_args, base_args):
-            if pred == "P":
-                return True
-            return base_args[0] > 1
-
-    m = Model()
-    assert eval_clause(cl, m, {"x": Fraction(2)})  # head true
-    assert not eval_clause(cl, m, {"x": Fraction(1)})  # body holds, head false
-    assert eval_clause(cl, m, {"x": Fraction(-1)})  # constraint falsified
-
-
-def test_equation_eval():
-    eq = Equation(FreeTerm("a", True), FreeTerm("u", False))
-
-    class Model:
-        gamma = {}
-
-        def free_value(self, const):
-            return "ea"
-
-        def holds(self, *args):  # pragma: no cover - not reached
-            raise AssertionError
-
-    cl = Clause.make([], [], [eq])
-    assert eval_clause(cl, Model(), {"u": "ea"})
-    assert not eval_clause(cl, Model(), {"u": "eb"})
 
 
 # --- clause sets and fragment discipline -----------------------------------
