@@ -36,6 +36,27 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _int_at_least(lo: int):
+    """argparse type: an integer no smaller than ``lo``."""
+    def convert(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {n}")
+        return n
+    return convert
+
+
+def _rationals(text: str) -> list[Fraction]:
+    """argparse type: comma-separated rationals such as ``0,1/2,-3``."""
+    try:
+        return [rat(p) for p in text.split(",")] if text else []
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a list of rationals: {text!r}") from None
+
+
 def _cmd_decide(args) -> int:
     cs = parse_clause_set(_read(args.file))
     n = normalize(cs)
@@ -53,8 +74,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    n = normalize(parse_clause_set(_read(args.file)))
-    sys.stdout.write(print_clause_set(n.as_clause_set()))
+    sys.stdout.write(print_clause_set(normalize(parse_clause_set(_read(args.file)))))
     return 0
 
 
@@ -84,8 +104,7 @@ def _bd_class_line(cls: RegionClass) -> str:
 
 def _cmd_regions(args) -> int:
     if args.mode == "slr":
-        points = [rat(Fraction(p)) for p in args.points.split(",")] if args.points else []
-        partition = PartitionJ.make(points)
+        partition = PartitionJ.make(args.points)
         classes = list(enumerate_slr_classes(args.arity, partition))
         lines = [
             (_slr_class_line(c), representative(c, partition)) for c in classes
@@ -189,9 +208,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regions", help="enumerate region classes")
     p.add_argument("--mode", choices=("slr", "bd"), required=True)
-    p.add_argument("--arity", type=int, required=True, metavar="K")
-    p.add_argument("--kappa", type=int, default=1, metavar="KAPPA")
-    p.add_argument("--points", default="", metavar="Q1,Q2,...",
+    p.add_argument("--arity", type=_int_at_least(0), required=True, metavar="K")
+    p.add_argument("--kappa", type=_int_at_least(0), default=1, metavar="KAPPA")
+    p.add_argument("--points", type=_rationals, default="", metavar="Q1,Q2,...",
                    help="partition points for slr mode")
     p.add_argument("--bounded", action="store_true",
                    help="bounded classes only (bd mode)")
@@ -205,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("file")
     pe.add_argument("--goal", default=None, metavar="LOC:CC",
                     help="emit the full reachability clause set for this goal")
-    pe.add_argument("--lam", type=int, default=None, metavar="N",
+    pe.add_argument("--lam", type=_int_at_least(1), default=None, metavar="N",
                     help="delay-lowering granularity override")
     pe.set_defaults(fn=_cmd_ta_encode)
 
@@ -213,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("file")
     pr.add_argument("--goal", required=True, metavar="LOC:CC")
     pr.add_argument("--backend", choices=("region", "bsr", "both"), default="both")
-    pr.add_argument("--lam", type=int, default=None, metavar="N")
+    pr.add_argument("--lam", type=_int_at_least(1), default=None, metavar="N")
     pr.add_argument("--output", choices=OUTPUTS, default="human")
     pr.set_defaults(fn=_cmd_ta_reach)
 

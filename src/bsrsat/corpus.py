@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .decide import (NaiveBudgetError, decide, naive_decide, verify_model)
 from .linarith import GroundSystem
-from .normalize import NormalizedClauseSet, normalize
+from .normalize import normalize
 from .report import STATUS_SAT
 from .terms import (Clause, ClauseSet, DiffConst, Equation, FreeTerm,
                     GroundCmp, GroundTerm, MODE_BD, MODE_SLR, PredAtom,
@@ -34,7 +34,7 @@ def flipped_descriptor(desc, atom):
     return dataclasses.replace(desc, table=table)
 
 
-def detectable_flips(n: NormalizedClauseSet, desc) -> list:
+def detectable_flips(n: ClauseSet, desc) -> list:
     """Table atoms whose flip makes the descriptor fail re-verification.
 
     Every table atom stems from grounding, so its class already survived
@@ -155,7 +155,7 @@ def _raw_slr(rng: random.Random) -> ClauseSet:
     return cs
 
 
-def _usable(n: NormalizedClauseSet) -> tuple[str, object] | None:
+def _usable(n: ClauseSet) -> tuple[str, object] | None:
     """Verdict and model descriptor if the instance suits the differential.
 
     Rejects instances that blow the naive atom budget and satisfiable ones
@@ -177,9 +177,9 @@ def _usable(n: NormalizedClauseSet) -> tuple[str, object] | None:
     return full.status, full.model
 
 
-def _instances(seed: int, count: int, raw, min_each: int) -> list[NormalizedClauseSet]:
+def _instances(seed: int, count: int, raw, min_each: int) -> list[ClauseSet]:
     rng = random.Random(seed)
-    out: list[NormalizedClauseSet] = []
+    out: list[ClauseSet] = []
     tally = {"sat": 0, "unsat": 0}
     for _ in range(200 * count):
         if len(out) == count:
@@ -198,13 +198,13 @@ def _instances(seed: int, count: int, raw, min_each: int) -> list[NormalizedClau
     raise RuntimeError(f"corpus generation stalled: {tally} after {200 * count} draws")
 
 
-def bd_instances(seed: int, count: int = 50) -> list[NormalizedClauseSet]:
+def bd_instances(seed: int, count: int = 50) -> list[ClauseSet]:
     """Difference-bound clause sets: <=2 predicates, base arity <=2, <=2 base
     variables per clause, constants in {-1,0,1}, <=2 free constants."""
     return _instances(seed, count, _raw_bd, min_each=max(1, count // 4))
 
 
-def slr_instances(seed: int, count: int = 30) -> list[NormalizedClauseSet]:
+def slr_instances(seed: int, count: int = 30) -> list[ClauseSet]:
     """Ordered-rational clause sets: <=2 Skolem constants, rationals in {0,1}."""
     return _instances(seed, count, _raw_slr, min_each=max(1, count // 4))
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .linarith import GroundSystem, solve_ground
-from .normalize import NormalizedClauseSet, validate_normal_form
+from .normalize import validate_normal_form
 from .propsat import PropInstance
 from .propsat import solve as _dpll
 from .regions import (
@@ -332,12 +332,12 @@ def _preorder_gamma(pre, def_constraints, skolems):
     return solve_ground(sys, names=list(skolems))
 
 
-def _contexts(N: NormalizedClauseSet, cs: ClauseSet, stats: SolveStats):
+def _contexts(cs: ClauseSet, stats: SolveStats):
     """The arithmetic branches: one for bd, one per feasible preorder of
     the Skolem constants and rationals for slr.  Each witness realizes its
     preorder exactly (``_preorder_gamma``), so no two branches share a
     gamma order type."""
-    if N.mode == MODE_BD:
+    if cs.mode == MODE_BD:
         yield _Context(MODE_BD, {}, kappa=_kappa_of(cs))
         return
     skolems = sorted(cs.skolems)
@@ -419,29 +419,30 @@ def _descriptor_from_table(ctx: _Context, domain, assign, table):
 
 
 def decide(
-    N: NormalizedClauseSet,
+    cs: ClauseSet,
     *,
     max_candidates: int | None = None,
 ) -> ResultReport:
-    """Exhaustive uniform-model search; SAT with a verified model, or UNSAT.
+    """Exhaustive uniform-model search over a clause set in normal form
+    (``normalize``); SAT with a verified model, or UNSAT.
 
-    Raises ResourceLimitError once more than ``max_candidates`` candidate
+    Raises NormalFormError if ``cs`` is not in normal form, and
+    ResourceLimitError once more than ``max_candidates`` candidate
     interpretations have been attempted.
     """
     t0 = time.perf_counter()
     stats = SolveStats()
     counters = {"decisions": 0}
     try:
-        return _decide_inner(N, stats, counters, max_candidates)
+        return _decide_inner(cs, stats, counters, max_candidates)
     finally:
         stats.decisions = counters["decisions"]
         stats.wall_ms = int((time.perf_counter() - t0) * 1000)
 
 
-def _decide_inner(N, stats, counters, max_candidates) -> ResultReport:
-    validate_normal_form(N)
-    cs = N.as_clause_set()
-    for ctx in _contexts(N, cs, stats):
+def _decide_inner(cs, stats, counters, max_candidates) -> ResultReport:
+    validate_normal_form(cs)
+    for ctx in _contexts(cs, stats):
         gclauses = []
         for cl in cs.clauses:
             g = _ground_clause(ctx, cl, stats)
@@ -461,7 +462,7 @@ def _decide_inner(N, stats, counters, max_candidates) -> ResultReport:
                 continue
             table = {atom: model[vid] for atom, vid in atom_ids.items()}
             desc = _descriptor_from_table(ctx, domain, assign, table)
-            if not verify_model(N, desc):
+            if not verify_model(cs, desc):
                 raise RuntimeError(
                     "internal error: candidate model failed semantic re-verification"
                 )
@@ -469,9 +470,9 @@ def _decide_inner(N, stats, counters, max_candidates) -> ResultReport:
     return ResultReport(STATUS_UNSAT, None, stats)
 
 
-def verify_model(N: NormalizedClauseSet, desc: InterpretationDescriptor) -> bool:
-    """Semantic check of every clause on every class representative and
-    free assignment.
+def verify_model(cs: ClauseSet, desc: InterpretationDescriptor) -> bool:
+    """Semantic check of every clause of the normal form ``cs`` on every
+    class representative and free assignment.
 
     A clause's class stream is pruned by all its premise checks: every
     member of a skipped class falsifies a premise constraint, so the
@@ -481,7 +482,6 @@ def verify_model(N: NormalizedClauseSet, desc: InterpretationDescriptor) -> bool
     before the assignments are checked against the table, and each base
     projection is classified the first time an assignment needs it.
     """
-    cs = N.as_clause_set()
     ctx = _Context(desc.mode, desc.gamma, kappa=desc.kappa, partition=desc.partition)
     for cl in cs.clauses:
         premise = _premise(ctx, cl)
@@ -528,20 +528,20 @@ def verify_model(N: NormalizedClauseSet, desc: InterpretationDescriptor) -> bool
 # --- naive oracle -----------------------------------------------------------
 
 
-def naive_decide(N: NormalizedClauseSet, *, atom_budget: int = 16) -> ResultReport:
-    """Uniform-interpretation search by exhaustive predicate-table
-    enumeration over every nonempty domain subset and every free-constant
-    assignment into it, no propositional reduction, no class-stream
-    restriction; clause truth comes from representative evaluation and
-    classify-after-project.  Test oracle for decide."""
+def naive_decide(cs: ClauseSet, *, atom_budget: int = 16) -> ResultReport:
+    """Uniform-interpretation search on a clause set in normal form by
+    exhaustive predicate-table enumeration over every nonempty domain
+    subset and every free-constant assignment into it, no propositional
+    reduction, no class-stream restriction; clause truth comes from
+    representative evaluation and classify-after-project.  Test oracle for
+    decide; raises NormalFormError as decide does."""
     t0 = time.perf_counter()
     stats = SolveStats()
-    validate_normal_form(N)
-    cs = N.as_clause_set()
+    validate_normal_form(cs)
     names = sorted(cs.fconsts)
     pool = names or ["e1"]
     try:
-        for ctx in _contexts(N, cs, stats):
+        for ctx in _contexts(cs, stats):
             sem = _semantic_clauses(ctx, cs, stats)
             candidates = (
                 (domain, dict(zip(names, values)))
@@ -557,7 +557,7 @@ def naive_decide(N: NormalizedClauseSet, *, atom_budget: int = 16) -> ResultRepo
                 bits, t = found
                 table = {atom: bool(t >> b & 1) for atom, b in bits.items()}
                 desc = _descriptor_from_table(ctx, domain, assign, table)
-                if not verify_model(N, desc):
+                if not verify_model(cs, desc):
                     raise RuntimeError(
                         "internal error: naive model failed semantic re-verification"
                     )

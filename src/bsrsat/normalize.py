@@ -12,7 +12,6 @@ invariants checked by ``validate_normal_form``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linarith import GroundSystem, fm_project
@@ -44,28 +43,6 @@ _VAR_MARK = "#"  # prefix marking clause variables inside FM ground terms
 SKOLEM_PREFIX = "_sk"
 VAR_PREFIX = "_v"
 FCONST_PREFIX = "_fc"
-
-
-@dataclass
-class NormalizedClauseSet:
-    """Definitional clauses plus the core clauses, with symbol provenance."""
-
-    mode: str
-    n_def: list[Clause]
-    n_prime: list[Clause]
-    signature: dict[str, tuple[int, int]]
-    fconsts: list[str]
-    skolems: list[str]
-    provenance: dict[str, str] = field(default_factory=dict, compare=False)
-
-    def as_clause_set(self) -> ClauseSet:
-        return ClauseSet(
-            self.mode,
-            list(self.n_def) + list(self.n_prime),
-            dict(self.signature),
-            list(self.fconsts),
-            list(self.skolems),
-        )
 
 
 class NormalFormError(ValueError):
@@ -282,15 +259,14 @@ def _decode_constraint(left: GroundTerm, rel: Relation, right: GroundTerm, mode:
 # --- ground-term naming ----------------------------------------------------
 
 
-def split_ground_terms(cs: ClauseSet) -> tuple[ClauseSet, list[Clause], dict[str, str]]:
+def split_ground_terms(cs: ClauseSet) -> ClauseSet:
     """Name every compound ground term with a definitional Skolem constant.
 
-    Returns the rewritten core set, the definitional clauses (existing ones
-    are carried over), and the provenance of fresh names.  Structurally equal
-    terms share one name.
+    The result lists the definitional clauses first (existing ones, then
+    fresh ones), then the rewritten core clauses.  Structurally equal terms
+    share one name.
     """
-    provenance: dict[str, str] = {}
-    defs: list[Clause] = [c for c in cs.clauses if c.is_def_clause()]
+    defs = cs.def_clauses()
     skolems = list(cs.skolems)
     counter = _FreshNames(SKOLEM_PREFIX, set(skolems))
     by_term: dict[GroundTerm, str] = {}
@@ -305,7 +281,6 @@ def split_ground_terms(cs: ClauseSet) -> tuple[ClauseSet, list[Clause], dict[str
             fresh = counter.next()
             by_term[t] = fresh
             skolems.append(fresh)
-            provenance[fresh] = str(t)
             defs.append(Clause.make([SkolemDef(fresh, t)], [], []))
         return GroundTerm.skolem(by_term[t])
 
@@ -324,8 +299,7 @@ def split_ground_terms(cs: ClauseSet) -> tuple[ClauseSet, list[Clause], dict[str
             else:
                 lam.append(c)
         core.append(Clause.make(lam, cl.gamma, cl.delta))
-    out = ClauseSet(cs.mode, core, dict(cs.signature), list(cs.fconsts), skolems)
-    return out, defs, provenance
+    return ClauseSet(cs.mode, defs + core, dict(cs.signature), list(cs.fconsts), skolems)
 
 
 # --- renaming and assembly -------------------------------------------------
@@ -358,20 +332,19 @@ def _copy(cs: ClauseSet) -> ClauseSet:
     return ClauseSet(cs.mode, list(cs.clauses), dict(cs.signature), list(cs.fconsts), list(cs.skolems))
 
 
-def rename_apart(cs: ClauseSet) -> tuple[ClauseSet, dict[str, str]]:
-    """Give every clause its own disjoint variable names (_v0, _v1, ...)."""
+def rename_apart(cs: ClauseSet) -> ClauseSet:
+    """Give every clause its own disjoint variable names (_v0, _v1, ...).
+
+    Definitional clauses have no variables and come out unchanged."""
     counter = _FreshNames(VAR_PREFIX, set(cs.fconsts) | set(cs.skolems) | set(cs.signature))
-    provenance: dict[str, str] = {}
     clauses = []
-    for i, cl in enumerate(cs.clauses):
+    for cl in cs.clauses:
         mapping: dict[str, str] = {}
         for v in cl.base_vars() + cl.free_vars():
             if v not in mapping:
-                fresh = counter.next()
-                mapping[v] = fresh
-                provenance[fresh] = f"{v} in clause {i}"
+                mapping[v] = counter.next()
         clauses.append(_rename_clause(cl, mapping))
-    return ClauseSet(cs.mode, clauses, dict(cs.signature), list(cs.fconsts), list(cs.skolems)), provenance
+    return ClauseSet(cs.mode, clauses, dict(cs.signature), list(cs.fconsts), list(cs.skolems))
 
 
 def _rename_clause(cl: Clause, mapping: dict[str, str]) -> Clause:
@@ -401,7 +374,7 @@ def _rt(t: FreeTerm, rv) -> FreeTerm:
     return t if t.is_const else FreeTerm(rv(t.name), False)
 
 
-def normalize(cs: ClauseSet) -> NormalizedClauseSet:
+def normalize(cs: ClauseSet) -> ClauseSet:
     """Full pipeline; the result is equisatisfiable and in normal form."""
     cs.validate()
     if cs.mode not in (MODE_SLR, MODE_BD):
@@ -410,45 +383,34 @@ def normalize(cs: ClauseSet) -> NormalizedClauseSet:
     if cs.mode == MODE_BD:
         out = scale_to_integers(out)
     out = eliminate_constraint_only_vars(out)
-    provenance: dict[str, str] = {}
     if cs.mode == MODE_SLR:
-        out, defs, prov_sk = split_ground_terms(out)
-        provenance.update(prov_sk)
-    else:
-        defs = []
-    out, prov_var = rename_apart(out)
-    provenance.update(prov_var)
-    fconsts = list(out.fconsts)
-    if not fconsts:
-        name = _FreshNames(FCONST_PREFIX, _used_names(out)).next()
-        fconsts.append(name)
-        provenance[name] = "added free constant"
-    ncs = NormalizedClauseSet(
-        out.mode, defs, list(out.clauses), dict(out.signature), fconsts, list(out.skolems), provenance
-    )
-    validate_normal_form(ncs)
-    return ncs
+        out = split_ground_terms(out)
+    out = rename_apart(out)
+    if not out.fconsts:
+        out.fconsts.append(_FreshNames(FCONST_PREFIX, _used_names(out)).next())
+    validate_normal_form(out)
+    return out
 
 
 # --- validation ------------------------------------------------------------
 
 
-def validate_normal_form(ncs: NormalizedClauseSet) -> None:
-    cs = ncs.as_clause_set()
+def validate_normal_form(cs: ClauseSet) -> None:
+    """Check the normal-form invariants on every clause that is not
+    definitional (``Clause.is_def_clause``)."""
     cs.validate()
-    if not ncs.fconsts:
+    if not cs.fconsts:
         raise NormalFormError("normal form requires at least one free constant")
-    for cl in ncs.n_def:
-        if not cl.is_def_clause():
-            raise NormalFormError(f"not a definitional clause: {cl}")
     seen_vars: set[str] = set()
-    for cl in ncs.n_prime:
+    for cl in cs.clauses:
+        if cl.is_def_clause():
+            continue
         atom_vars = set()
         for a in cl.gamma + cl.delta:
             atom_vars.update(atom_base_vars(a))
         for c in cl.lam:
             if isinstance(c, SkolemDef):
-                raise NormalFormError(f"definitional constraint outside n_def: {c}")
+                raise NormalFormError(f"definitional constraint in a core clause: {c}")
             if isinstance(c, GroundCmp):
                 if not (c.left.is_constant_ref and c.right.is_constant_ref):
                     raise NormalFormError(f"compound ground comparison remains: {c}")
@@ -457,7 +419,7 @@ def validate_normal_form(ncs: NormalizedClauseSet) -> None:
             for v in constraint_vars(c):
                 if v not in atom_vars:
                     raise NormalFormError(f"constraint-only variable {v!r} remains in {cl}")
-        if ncs.mode == MODE_BD:
+        if cs.mode == MODE_BD:
             for q in cl.rationals():
                 if q.denominator != 1:
                     raise NormalFormError(f"non-integer constant remains: {q}")

@@ -69,13 +69,6 @@ class Relation(enum.Enum):
         """Relation seen from the right-hand side: a R b iff b flip(R) a."""
         return _FLIP[self]
 
-    def negate(self) -> "Relation":
-        return _NEG[self]
-
-    @property
-    def strict(self) -> bool:
-        return self in (Relation.LT, Relation.GT)
-
 
 _FLIP = {
     Relation.LT: Relation.GT,
@@ -84,15 +77,6 @@ _FLIP = {
     Relation.NEQ: Relation.NEQ,
     Relation.GE: Relation.LE,
     Relation.GT: Relation.LT,
-}
-
-_NEG = {
-    Relation.LT: Relation.GE,
-    Relation.LE: Relation.GT,
-    Relation.EQ: Relation.NEQ,
-    Relation.NEQ: Relation.EQ,
-    Relation.GE: Relation.LT,
-    Relation.GT: Relation.LE,
 }
 
 

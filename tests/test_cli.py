@@ -214,6 +214,22 @@ class TestUsageErrors:
             main(["regions", "--arity", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("regions", "--mode", "slr", "--arity", "1", "--points", "x"),
+        ("regions", "--mode", "slr", "--arity", "1", "--points", "1/0"),
+        ("regions", "--mode", "bd", "--arity", "-1"),
+        ("regions", "--mode", "bd", "--arity", "1", "--kappa", "-1"),
+        ("ta", "reach", "lock.ta", "--goal", "b", "--lam", "0"),
+        ("ta", "encode", "lock.ta", "--goal", "b", "--lam", "0"),
+    ])
+    def test_bad_numeric_argument(self, files, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([files.get(a, a) for a in argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: argument --" in err
+
 
 def test_module_entry_point(files):
     proc = subprocess.run(

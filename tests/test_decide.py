@@ -100,9 +100,8 @@ def test_grounded_rows_share_equal_selected_classes():
         "mode bd\npred P : S^1 R^1\nfreeconst a\n"
         "clause [x >= 0; x <= 2; y >= 0; y <= 2] [] -> [P(a, x); P(a, y)]\n"
     ))
-    cs = n.as_clause_set()
-    (ctx,) = _contexts(n, cs, SolveStats())
-    g = _ground_clause(ctx, cs.clauses[0], SolveStats())
+    (ctx,) = _contexts(n, SolveStats())
+    g = _ground_clause(ctx, n.clauses[0], SolveStats())
     picked = [c for row in g.rows for c in row]
     assert len(g.rows) == 25
     assert len({id(c) for c in picked}) == len(set(picked)) == 5
@@ -214,10 +213,9 @@ def test_verify_model_builds_one_representative_per_premise_class(monkeypatch):
     # the model holds Q only where the equation leaves the clause open
     q_args = {atom.free_args for atom in r.model.table if atom.pred == "Q"}
     assert q_args == {("b", "a"), ("b", "b")}
-    cs = n.as_clause_set()
-    (ctx,) = _contexts(n, cs, SolveStats())
+    (ctx,) = _contexts(n, SolveStats())
     premise_classes = bound_classes = 0
-    for cl in cs.clauses:
+    for cl in n.clauses:
         bvars = cl.base_vars()
         vidx = {v: i for i, v in enumerate(bvars)}
         bounds = [c for c in cl.lam if isinstance(c, VarConst)]

@@ -9,7 +9,6 @@ from bsrsat import corpus
 from bsrsat.decide import decide, naive_decide
 from bsrsat.normalize import (
     NormalFormError,
-    NormalizedClauseSet,
     eliminate_constraint_only_vars,
     normalize,
     pad_predicates,
@@ -18,6 +17,7 @@ from bsrsat.normalize import (
     split_ground_terms,
     validate_normal_form,
 )
+from bsrsat.parser import parse_clause_set
 from bsrsat.terms import (
     Clause,
     ClauseSet,
@@ -29,6 +29,7 @@ from bsrsat.terms import (
     MODE_SLR,
     PredAtom,
     Relation,
+    SkolemDef,
     VarConst,
     VarVar,
 )
@@ -200,12 +201,12 @@ def test_split_names_compound_bound():
         [atom("P", "x")],
     )
     cs = slr_set([cl], {"P": (0, 1)}, skolems=("d",))
-    core, defs, prov = split_ground_terms(cs)
-    assert len(defs) == 1
-    (vc,) = [c for c in core.clauses[0].lam if isinstance(c, VarConst)]
+    out = split_ground_terms(cs)
+    (d, core) = out.clauses
+    assert d.is_def_clause() and not core.is_def_clause()
+    (vc,) = [c for c in core.lam if isinstance(c, VarConst)]
     assert vc.bound.is_skolem
-    fresh = vc.bound.skolem_name
-    assert fresh in prov and "d" in prov[fresh]
+    assert d.lam[0] == SkolemDef(vc.bound.skolem_name, bound)
 
 
 def test_split_shares_names_for_equal_terms():
@@ -214,8 +215,8 @@ def test_split_shares_names_for_equal_terms():
         Clause.make([VarConst("x", Relation.LE, bound)], [], [atom("P", "x")]),
         Clause.make([VarConst("y", Relation.GT, bound)], [], [atom("P", "y")]),
     ]
-    core, defs, _ = split_ground_terms(slr_set(cls, {"P": (0, 1)}, skolems=("d",)))
-    assert len(defs) == 1
+    out = split_ground_terms(slr_set(cls, {"P": (0, 1)}, skolems=("d",)))
+    assert len(out.def_clauses()) == 1
 
 
 def test_split_leaves_plain_bounds_alone():
@@ -224,9 +225,9 @@ def test_split_leaves_plain_bounds_alone():
         [],
         [atom("P", "x")],
     )
-    core, defs, prov = split_ground_terms(slr_set([cl], {"P": (0, 1)}, skolems=("d",)))
-    assert defs == [] and prov == {}
-    assert core.clauses == [cl]
+    out = split_ground_terms(slr_set([cl], {"P": (0, 1)}, skolems=("d",)))
+    assert out.def_clauses() == []
+    assert out.clauses == [cl]
 
 
 # --- variable disjointness --------------------------------------------------
@@ -237,11 +238,10 @@ def test_rename_apart_disjoint_clauses():
         Clause.make([], [], [atom("P", "x")]),
         Clause.make([], [], [atom("P", "x")]),
     ]
-    out, prov = rename_apart(bd_set(cls, {"P": (0, 1)}))
+    out = rename_apart(bd_set(cls, {"P": (0, 1)}))
     v0 = set(out.clauses[0].base_vars())
     v1 = set(out.clauses[1].base_vars())
     assert not (v0 & v1)
-    assert prov
 
 
 # --- end-to-end pipeline ----------------------------------------------------
@@ -255,7 +255,8 @@ def test_normalize_validates_output_on_generated_sets():
     for _ in range(15):
         n = normalize(corpus._raw_slr(rng))
         validate_normal_form(n)
-        assert all(cl.is_def_clause() for cl in n.n_def)
+        k = len(n.def_clauses())
+        assert all(cl.is_def_clause() for cl in n.clauses[:k])
 
 
 def test_normalize_adds_free_constant_when_absent():
@@ -263,7 +264,6 @@ def test_normalize_adds_free_constant_when_absent():
     cs = ClauseSet(MODE_BD, [cl], {"P": (0, 1)}, [], [])
     n = normalize(cs)
     assert len(n.fconsts) == 1
-    assert n.provenance[n.fconsts[0]] == "added free constant"
 
 
 def test_normalize_rejects_folla():
@@ -283,9 +283,8 @@ def test_validate_rejects_non_variable_base_argument():
 
 
 def test_validator_requires_free_constant():
-    n = NormalizedClauseSet(MODE_BD, [], [], {}, [], [], {})
     with pytest.raises(NormalFormError):
-        validate_normal_form(n)
+        validate_normal_form(bd_set([], {}, fconsts=()))
 
 
 def test_validator_rejects_shared_variables():
@@ -293,9 +292,8 @@ def test_validator_rejects_shared_variables():
         Clause.make([], [], [atom("P", "x")]),
         Clause.make([], [], [atom("P", "x")]),
     ]
-    n = NormalizedClauseSet(MODE_BD, [], cls, {"P": (0, 1)}, ["a"], [], {})
     with pytest.raises(NormalFormError, match="share variables"):
-        validate_normal_form(n)
+        validate_normal_form(bd_set(cls, {"P": (0, 1)}))
 
 
 def test_validator_rejects_fractional_bd_constant():
@@ -304,9 +302,8 @@ def test_validator_rejects_fractional_bd_constant():
         [],
         [atom("P", "x")],
     )
-    n = NormalizedClauseSet(MODE_BD, [], [cl], {"P": (0, 1)}, ["a"], [], {})
     with pytest.raises(NormalFormError, match="non-integer"):
-        validate_normal_form(n)
+        validate_normal_form(bd_set([cl], {"P": (0, 1)}))
 
 
 def test_validator_rejects_constraint_only_variable():
@@ -315,6 +312,35 @@ def test_validator_rejects_constraint_only_variable():
         [],
         [atom("P", "x")],
     )
-    n = NormalizedClauseSet(MODE_BD, [], [cl], {"P": (0, 1)}, ["a"], [], {})
     with pytest.raises(NormalFormError, match="constraint-only"):
-        validate_normal_form(n)
+        validate_normal_form(bd_set([cl], {"P": (0, 1)}))
+
+
+def test_validator_rejects_skolem_def_among_other_constraints():
+    sd = SkolemDef("d", GroundTerm.make(1, {"e": 1}))
+    bound = VarConst("x", Relation.LE, GroundTerm.skolem("d"))
+    alone = Clause.make([sd], [], [])
+    core = Clause.make([bound], [], [atom("P", "x")])
+    validate_normal_form(slr_set([alone, core], {"P": (0, 1)}, skolems=("d", "e")))
+    mixed = Clause.make([sd, bound], [], [atom("P", "x")])
+    with pytest.raises(NormalFormError, match="definitional constraint"):
+        validate_normal_form(slr_set([mixed], {"P": (0, 1)}, skolems=("d", "e")))
+
+
+def test_normalize_lists_definitional_clauses_first():
+    bound = GroundTerm.make(1, {"d": 1})
+    cls = [
+        Clause.make([VarConst("x", Relation.GE, GroundTerm.skolem("d"))], [], [atom("P", "x")]),
+        Clause.make([VarConst("y", Relation.LE, bound)], [atom("P", "y")], []),
+    ]
+    n = normalize(slr_set(cls, {"P": (0, 1)}, skolems=("d",)))
+    kinds = [cl.is_def_clause() for cl in n.clauses]
+    assert kinds == [True, False, False]
+
+
+@pytest.mark.parametrize("solver", [decide, naive_decide])
+def test_deciders_reject_a_set_not_in_normal_form(solver):
+    # parsed but not normalized: no free constant
+    cs = parse_clause_set("mode bd\npred P : S^0 R^1\nclause [] [] -> [P(x)]\n")
+    with pytest.raises(NormalFormError):
+        solver(cs)

@@ -210,9 +210,8 @@ def test_corpus_clauses_pruned_stream_filters_like_full_stream(raw):
     rng = random.Random(2024)
     for _ in range(50):
         n = normalize(raw(rng))
-        cs = n.as_clause_set()
-        for ctx in _contexts(n, cs, SolveStats()):
-            for cl in cs.clauses:
+        for ctx in _contexts(n, SolveStats()):
+            for cl in n.clauses:
                 bvars = cl.base_vars()
                 var_cons = [c for c in cl.lam if not isinstance(c, (GroundCmp, SkolemDef))]
                 checks = ctx.checks(var_cons, {v: i for i, v in enumerate(bvars)})

@@ -6,6 +6,10 @@ from pathlib import Path
 import bsrsat
 
 SOURCES = sorted(p for d in bsrsat.__path__ for p in Path(d).glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+READERS = sorted(
+    p for d in ("src", "tests", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py")
+)
 
 
 def test_no_bare_asserts_in_package():
@@ -49,5 +53,27 @@ def test_no_unused_imports_in_package():
                     name = (alias.asname or alias.name).split(".")[0]
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno}:{name}")
+    assert SOURCES
+    assert found == []
+
+
+def test_no_unreferenced_methods_in_package():
+    # a method that no code reads as an attribute has no caller
+    read = {
+        node.attr
+        for path in READERS
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+    }
+    found = [
+        f"{path.name}:{cls.name}.{fn.name}"
+        for path in SOURCES
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and fn.name not in read
+    ]
     assert SOURCES
     assert found == []
