@@ -21,18 +21,26 @@ Each class has a deterministic representative whose class is the class
 itself, and a selection operation: reindexing a tuple through ``idx`` maps
 classes to classes.
 
-Premise constraints compile to checks on cells (``compile_checks``);
-``check_holds`` is the one place that decides them.  A constant bound reads
-only the cell of its own coordinate, so the enumerators settle the bounds
-once per coordinate (``_admitted``) before their loops and never check one
-inside them.  Var-var and difference checks read two coordinates; the
-enumerators decide them on partial classes, as soon as both coordinates are
-placed.
+Premise constraints compile to checks on cells (``compile_checks``), and
+``check_holds`` decides one on a class.  The enumerators take a premise's
+checks and yield only the classes on which all of them hold.  Bounds read
+one cell, so they are settled per coordinate before the loops
+(``_admitted``).  The slr enumerator decides var-var checks once the value
+order is chosen.  The bd unbounded enumerator first closes the convex checks
+(all but ``!=``) into a zone, a difference-bound matrix: its bounds join the
+constant bounds, and between in-range coordinates it bounds the floor
+differences (``_bands``), which decides those pair checks.  ``check_holds``
+decides the ``!=`` pair checks as their floors are placed, and the var-var
+checks over a coordinate beyond +/-kappa as the value order there is
+chosen.  A difference is class-determined only in range, so a difference
+check whose coordinates the constant bounds do not hold within +/-kappa
+raises ``FragmentError`` before the first class.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -42,6 +50,7 @@ from .terms import (
     DiffConst,
     FragmentError,
     RationalLike,
+    Relation,
     VarConst,
     VarVar,
     floor_fr,
@@ -155,6 +164,13 @@ def _subsets(items: Sequence) -> Iterator[tuple]:
         yield from itertools.combinations(items, r)
 
 
+def _require_sizes(arity: int, kappa: int | None = None) -> None:
+    if arity < 0:
+        raise ValueError(f"arity must be nonnegative, got {arity}")
+    if kappa is not None and kappa < 0:
+        raise ValueError(f"kappa must be nonnegative, got {kappa}")
+
+
 # --- SLR classes -----------------------------------------------------------
 
 
@@ -221,6 +237,7 @@ def enumerate_slr_classes(
     checks are decided once the ordered partition is chosen.  The classes
     skipped are exactly those on which some check fails.
     """
+    _require_sizes(arity)
     intervals = [(None, iv) for iv in range(partition.interval_count)]
     admitted = [{iv for _, iv in _admitted(c, intervals, checks)} for c in range(arity)]
     for part in ordered_set_partitions(tuple(range(arity))):
@@ -291,6 +308,8 @@ def representative_slr(cls: RegionClass, partition: PartitionJ) -> tuple[Fractio
 
 
 def class_of_bd(values: Sequence[RationalLike], kappa: int, bounded: bool) -> RegionClass:
+    if kappa < 0:  # not _require_sizes: verify calls this once per projection
+        raise ValueError(f"kappa must be nonnegative, got {kappa}")
     vals = [rat(v) for v in values]
     if bounded:
         for v in vals:
@@ -323,6 +342,7 @@ def enumerate_bd_bounded(
     """All bounded classes, deterministically: fr-zero flags, fractional
     order, then floors.  ``floor_lo`` drops the classes with a floor below
     it (0 keeps the clock box [0, kappa+1)^arity)."""
+    _require_sizes(arity, kappa)
     lo = -kappa - 1 if floor_lo is None else floor_lo
     coords = tuple(range(arity))
     for zero in _subsets(coords):
@@ -345,13 +365,21 @@ def enumerate_bd_unbounded(
     +/-kappa, fr-zero flags, fractional order, then floors.
 
     ``checks`` (from ``compile_checks``) prune the stream without changing
-    its order.  Bounds are settled per coordinate before the loops: a
-    coordinate takes only its admitted buckets and, in range, its admitted
-    floors for each fr-zero flag.  Var-var and difference checks are decided
-    once both of their coordinates are placed, which for an in-range
-    coordinate means its floor.  The classes skipped are exactly those on
-    which some check fails.
+    its order; the classes skipped are exactly those on which some check
+    fails.  A coordinate takes only the buckets and floors its bounds admit
+    (``_admitted``), with the bounds that closing the convex checks into a
+    zone derives (``_zone``); an empty zone yields nothing.  Once the
+    fractional structure is fixed, the zone bounds the floor differences of
+    in-range pairs (``_bands``): a structure that leaves some pair no
+    difference is skipped, and each floor keeps to the bands of the floors
+    placed before it.  That decides every check between in-range
+    coordinates but ``!=``, which ``check_holds`` decides once both floors
+    are placed; it decides a var-var check over a coordinate beyond +/-kappa
+    once the value order there is chosen.  Guards are static: a difference check between coordinates that their
+    constant bounds do not hold within +/-kappa raises ``FragmentError``
+    before the first class.
     """
+    _require_sizes(arity, kappa)
     coords = tuple(range(arity))
     # What a bound reads of a cell: the bucket, and in range the floor and
     # whether the fractional part vanishes (rank 0) or not (rank 1).
@@ -361,8 +389,29 @@ def enumerate_bd_unbounded(
         (BUCKET_ABOVE, 0, 0),
     ]
     admitted = [_admitted(c, bound_cells, checks) for c in coords]
+    for ch in checks:
+        if ch[0] == "diff" and ch[2] != ch[3]:
+            if any(bk != BUCKET_IN for c in ch[2:4] for bk, _, _ in admitted[c]):
+                raise FragmentError(
+                    "difference constraint over a coordinate that its bounds do not "
+                    "hold within +/-kappa; its variables need two-sided constant bounds"
+                )
+    if not all(admitted):
+        return
+    bands: dict = {}
+    relations = [ch for ch in checks if ch[0] in ("varvar", "diff") and ch[1] is not Relation.NEQ]
+    if relations:  # else the bounds are the zone, and closed
+        hulls = [_hull(adm) for adm in admitted]
+        zone = _zone(hulls, relations)
+        if zone is None:
+            return
+        for c, hull in enumerate(hulls):
+            tighter = _closed_bounds(zone, c, kappa, hull)
+            if tighter:
+                admitted[c] = _admitted(c, admitted[c], tighter)
+        bands = _bands(zone, kappa)
     # floor_opts[c][zero]: the in-range floors admitted for coordinate c,
-    # given whether its fractional part vanishes.
+    # given whether its fractional part vanishes, ascending.
     floor_opts = [
         [[f for bk, f, r in adm if bk == BUCKET_IN and (r == 0) == zero] for zero in (False, True)]
         for adm in admitted
@@ -373,6 +422,13 @@ def enumerate_bd_unbounded(
         # Until ranks and floors are placed a cell holds only its bucket.
         cells: list = [(b, 0, 0) for b in buckets]
         outer, staged = _stage_bd_checks(checks, inside)
+        pairs = [
+            (p, k, a, b, bands[a, b])
+            for k, b in enumerate(inside)
+            for p, a in enumerate(inside[:k])
+            if (a, b) in bands
+        ]
+        unlimited = [()] * len(inside)
         below = tuple(c for c in coords if buckets[c] == BUCKET_BELOW)
         above = tuple(c for c in coords if buckets[c] == BUCKET_ABOVE)
         for below_part in ordered_set_partitions(below):
@@ -392,7 +448,10 @@ def enumerate_bd_unbounded(
                         ranks = dict.fromkeys(zero, 0)
                         for rank, block in enumerate(part, start=1):
                             ranks.update(dict.fromkeys(block, rank))
-                        for floors in _floor_tuples(inside, ranges, ranks, cells, staged):
+                        limits = _floor_limits(pairs, ranks, len(inside)) if pairs else unlimited
+                        if limits is None:
+                            continue
+                        for floors in _floor_tuples(inside, ranges, ranks, cells, limits, staged):
                             for c, f in zip(inside, floors):
                                 cells[c] = (BUCKET_IN, f, ranks[c])
                             yield RegionClass(tuple(cells), FAMILY_BD_UNBOUNDED, kappa)
@@ -406,14 +465,112 @@ def _admitted(c: int, cells: Sequence[tuple], checks: Sequence[tuple]) -> list[t
     return [cell for cell in cells if all(check_holds(ch, {c: cell}) for ch in bounds)]
 
 
-def _stage_bd_checks(checks, inside):
-    """Var-var and difference checks by the point at which they are decided.
+# --- zones: closed difference-bound matrices --------------------------------
+#
+# Node 0 is the value 0 and node c + 1 coordinate c.  Entry [i][j] bounds
+# x_i - x_j by (c, 1) for <= c or (c, 0) for < c; tuples order these from
+# tight to loose, and INF is no bound.  Floyd-Warshall closes the matrix
+# (Bengtsson & Yi, "Timed Automata: Semantics, Algorithms and Tools", 2004).
 
-    Returns the checks over coordinates beyond +/-kappa only (decided once
-    their value order is chosen) and, per in-range coordinate, the checks
-    decided when its floor is placed (their last in-range coordinate in
-    ``inside`` order).  Both keep the order of ``checks``.
-    """
+INF = (math.inf, 1)
+
+
+def _hull(cells: Sequence[tuple]) -> tuple[tuple, tuple]:
+    """Zone entries [0][c] and [c][0] of the hull of nonempty candidate
+    ``cells`` of coordinate c: its lower and upper bound, if in range."""
+    lower = upper = INF
+    bk, f, r = min(cells)
+    if bk == BUCKET_IN:  # x >= f, or x > f with a positive fractional part
+        lower = (-f, int(r == 0))
+    bk, f, r = max(cells)
+    if bk == BUCKET_IN:  # x <= f, or x < f + 1
+        upper = (f, 1) if r == 0 else (f + 1, 0)
+    return lower, upper
+
+
+def _zone(hulls: Sequence[tuple[tuple, tuple]], relations: Sequence[tuple]):
+    """The closed zone of the bounds, entered as the ``hulls`` of the
+    admitted cells, and the convex var-var and difference checks
+    ``relations``; None when it is empty.  It holds every member of every
+    class on which all checks hold."""
+    n = len(hulls) + 1
+    m = [[INF] * n for _ in range(n)]
+    for k in range(n):
+        m[k][k] = (0, 1)
+    for c, (lower, upper) in enumerate(hulls, start=1):
+        m[0][c], m[c][0] = lower, upper
+
+    def tighten(i: int, j: int, bound: tuple) -> None:
+        if bound < m[i][j]:
+            m[i][j] = bound
+
+    for kind, rel, i, j, *const in relations:
+        c = const[0] if kind == "diff" else 0
+        if rel in (Relation.LE, Relation.LT, Relation.EQ):
+            tighten(i + 1, j + 1, (c, int(rel is not Relation.LT)))
+        if rel in (Relation.GE, Relation.GT, Relation.EQ):
+            tighten(j + 1, i + 1, (-c, int(rel is not Relation.GT)))
+    for k in range(n):
+        mk = m[k]
+        for mi in m:
+            ik = mi[k]
+            if ik is INF:
+                continue
+            for j, kj in enumerate(mk):
+                if kj is not INF:
+                    via = (ik[0] + kj[0], ik[1] & kj[1])
+                    if via < mi[j]:
+                        mi[j] = via
+    if any(m[k][k] < (0, 1) for k in range(n)):
+        return None
+    return m
+
+
+def _closed_bounds(zone, c: int, kappa: int, hull: tuple[tuple, tuple]) -> list[tuple]:
+    """The zone's bounds on coordinate ``c`` that are tighter than the
+    ``hull`` of its admitted cells, as ``bd_const`` checks.  A bound beyond
+    +/-kappa does not separate whole cells and is dropped."""
+    out = []
+    lower, upper = hull
+    u, le = zone[c + 1][0]
+    if zone[c + 1][0] < upper and abs(u) <= kappa:
+        out.append(("bd_const", Relation.LE if le else Relation.LT, c, u))
+    v, ge = zone[0][c + 1]
+    if zone[0][c + 1] < lower and abs(v) <= kappa:
+        out.append(("bd_const", Relation.GE if ge else Relation.GT, c, -v))
+    return out
+
+
+def _bands(zone, kappa: int) -> dict[tuple[int, int], tuple]:
+    """Per pair of coordinates (a, b) in range, three (lo, hi) for r_b < r_a,
+    r_b = r_a and r_b > r_a: the floor differences d = f_b - f_a that keep
+    x_b - x_a, which lies in (d - 1, d), is d, or lies in (d, d + 1), within
+    the zone.  Pairs that the bounds alone relate get no band: the admitted
+    cells keep them within the zone already."""
+
+    def implied(i: int, j: int) -> bool:  # x_i - x_j by way of the zero node
+        (u, le), (v, ge) = zone[i][0], zone[0][j]
+        return zone[i][j] is INF or (
+            abs(u) <= kappa and abs(v) <= kappa and zone[i][j] == (u + v, le & ge)
+        )
+
+    n = len(zone) - 1
+    bands = {}
+    for a in range(n):
+        for b in range(n):
+            if a != b and not (implied(b + 1, a + 1) and implied(a + 1, b + 1)):
+                (u, le), (v, ge) = zone[b + 1][a + 1], zone[a + 1][b + 1]
+                bands[a, b] = ((1 - v, u), (-v + 1 - ge, u - 1 + le), (-v, u - 1))
+    return bands
+
+
+def _stage_bd_checks(checks, inside):
+    """The pair checks that the bands leave open: those that read a
+    coordinate beyond +/-kappa, decided once the value order there is chosen
+    (the bucket alone places an in-range coordinate against them), and per
+    in-range coordinate the ``!=`` checks decided when its floor is placed
+    (their last in range in ``inside`` order).  Both keep the order of
+    ``checks``."""
     pos = {c: k for k, c in enumerate(inside)}
     outer: list[tuple] = []
     staged: list[list[tuple]] = [[] for _ in inside]
@@ -421,18 +578,33 @@ def _stage_bd_checks(checks, inside):
         if ch[0] == "bd_const":
             continue
         placed = [pos[c] for c in ch[2:4] if c in pos]
-        if placed:
-            staged[max(placed)].append(ch)
-        else:
+        if len(placed) < 2:
             outer.append(ch)
+        elif ch[1] is Relation.NEQ:
+            staged[max(placed)].append(ch)
     return outer, staged
 
 
-def _floor_tuples(inside, ranges, ranks, cells, staged) -> Iterator[tuple[int, ...]]:
-    """``itertools.product(*ranges)`` minus every floor prefix on which a
-    check staged at its last coordinate fails; ``cells`` receives the
-    placed floors."""
-    last = max((k for k, chs in enumerate(staged) if chs), default=-1)
+def _floor_limits(pairs, ranks, n: int):
+    """Per in-range position k < n, the (p, lo, hi) for which the band of
+    the pair at positions p < k confines f_k - f_p to [lo, hi] under these
+    ranks; None when some band is empty.  ``pairs`` lists (p, k, a, b,
+    band) for the coordinates a and b at positions p and k."""
+    limits: list[list[tuple]] = [[] for _ in range(n)]
+    for p, k, a, b, band in pairs:
+        ra, rb = ranks[a], ranks[b]
+        lo, hi = band[(rb > ra) - (rb < ra) + 1]
+        if lo > hi:
+            return None
+        limits[k].append((p, lo, hi))
+    return limits
+
+
+def _floor_tuples(inside, ranges, ranks, cells, limits, staged) -> Iterator[tuple[int, ...]]:
+    """``itertools.product(*ranges)`` minus every floor prefix that leaves
+    a band of its last coordinate or fails a check staged there; ``cells``
+    receives the placed floors."""
+    last = max((k for k in range(len(inside)) if limits[k] or staged[k]), default=-1)
     if last < 0:
         return itertools.product(*ranges)
 
@@ -443,7 +615,13 @@ def _floor_tuples(inside, ranges, ranks, cells, staged) -> Iterator[tuple[int, .
             return
         c, chs = inside[k], staged[k]
         rank = ranks[c]
+        lo = max((prefix[p] + d for p, d, _ in limits[k]), default=-math.inf)
+        hi = min((prefix[p] + d for p, _, d in limits[k]), default=math.inf)
         for f in ranges[k]:
+            if f > hi:
+                break
+            if f < lo:
+                continue
             cells[c] = (BUCKET_IN, f, rank)
             if all(check_holds(ch, cells) for ch in chs):
                 yield from rec(k + 1, prefix + (f,))

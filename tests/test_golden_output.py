@@ -6,6 +6,8 @@ bounded and unbounded; both output forms), and three small cases in full so
 that a change shows as a readable diff.  ``decide --output structured`` is
 pinned for satisfiable clause sets in both modes, without the
 ``stat wall ms`` line; these fix the model table and the legend numbering.
+The class streams ``decide`` grounds the timed encodings with are pinned by
+SHA-256 too: their order drives DPLL and so the model it reports.
 """
 
 import contextlib
@@ -15,6 +17,11 @@ import io
 import pytest
 
 from bsrsat.cli import main
+from bsrsat.corpus import timed_instances
+from bsrsat.decide import _contexts, _premise
+from bsrsat.normalize import normalize
+from bsrsat.report import SolveStats
+from bsrsat.timed import default_lambda, encode_reachability
 
 
 def run_cli(*argv):
@@ -433,6 +440,11 @@ class#30 rep: (3, 2)
 }
 
 
+# Every clause of the normalized encodings of timed_instances(0, 8), each
+# streamed with all of its premise checks, as ``decide`` grounds it.
+TIMED_STREAMS = (242, 6141, "eeed82641456bd861903a0f5faef445a8564e803a9c47fdbe0d0f00659b39c38")
+
+
 @pytest.mark.parametrize("argv,want", SMALL_CASES)
 def test_regions_small_cases_verbatim(argv, want):
     assert run_cli("regions", *argv) == want
@@ -452,3 +464,22 @@ def test_decide_structured_output(name, tmp_path):
     out = run_cli("decide", str(path), "--output", "structured")
     got = [line for line in out.splitlines() if not line.startswith("stat wall ms:")]
     assert got == want.splitlines()
+
+
+def test_timed_premise_streams_digest():
+    h = hashlib.sha256()
+    streams = classes = 0
+    for aut, goal in timed_instances(0, 8):
+        cs = normalize(encode_reachability(aut, goal, default_lambda(aut, goal)))
+        for ctx in _contexts(cs, SolveStats()):
+            for cl in cs.clauses:
+                premise = _premise(ctx, cl)
+                h.update(b"clause\n")
+                if premise is None:
+                    continue
+                bvars, _, checks = premise
+                streams += 1
+                for cls in ctx.classes(len(bvars), checks):
+                    classes += 1
+                    h.update(repr(cls.cells).encode() + b"\n")
+    assert (streams, classes, h.hexdigest()) == TIMED_STREAMS

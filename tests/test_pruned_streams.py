@@ -108,10 +108,41 @@ def _assert_bound_stream_complete(full, pruned, constraints, names, gamma, parti
             assert not all(eval_constraint(c, base, gamma) for c in constraints)
 
 
+def _guarded(x, y, lo, hi):
+    return [
+        VarConst(v, rel, GroundTerm.constant(c))
+        for v in (x, y)
+        for rel, c in ((Relation.GE, lo), (Relation.LE, hi))
+    ]
+
+
+def _diffs(*chain):
+    return [DiffConst(x, y, rel, Fraction(c)) for x, y, rel, c in chain]
+
+
+# x0 - x1 = 1 and x1 - x2 = 1 inside the guards [-2, 2]: the zone confines
+# x0 to [0, 2], x1 to [-1, 1] and x2 to [-2, 0], tighter than the guards.
+CHAIN = (3, 2, _guarded("x0", "x1", -2, 2) + _guarded("x1", "x2", -2, 2)
+         + _diffs(("x0", "x1", Relation.EQ, 1), ("x1", "x2", Relation.EQ, 1)))
+# The same chain with x0 - x2 < 2: the zone is empty.
+EMPTY_CHAIN = (CHAIN[0], CHAIN[1], CHAIN[2] + _diffs(("x0", "x2", Relation.LT, 2)))
+
+
 # The bd draws are fixed: one at arity 4 and kappa 3 streams 282,781
-# classes, so fresh draws would swing the run time by tens of seconds.
+# classes, so fresh draws would swing the run time by tens of seconds.  The
+# examples make the zone closure bite: derived bounds, derived pair
+# differences with strict and unit-interval cases, and an empty zone.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(bd_premises())
+@example(CHAIN)
+@example(EMPTY_CHAIN)
+@example((3, 1, _guarded("x0", "x1", -1, 1) + _guarded("x2", "x2", 0, 1)
+          + [VarVar("x1", Relation.LT, "x2"), VarVar("x0", Relation.NEQ, "x2")]
+          + _diffs(("x0", "x1", Relation.GT, 0), ("x2", "x0", Relation.GE, 0))))
+@example((4, 2, _guarded("x0", "x1", -2, 1) + _guarded("x2", "x3", -1, 2)
+          + [VarVar("x3", Relation.LE, "x1")]
+          + _diffs(("x1", "x0", Relation.LE, -1), ("x2", "x1", Relation.LT, 2),
+                   ("x3", "x2", Relation.GE, -1), ("x0", "x3", Relation.NEQ, -1))))
 def test_bd_pruned_stream_filters_like_full_stream(premise):
     arity, kappa, cons = premise
     vidx = {v: i for i, v in enumerate(_names(arity))}
@@ -164,14 +195,6 @@ def test_slr_bound_pruned_stream_keeps_every_admitted_class(premise):
     )
 
 
-def _guarded(x, y, lo, hi):
-    return [
-        VarConst(v, rel, GroundTerm.constant(c))
-        for v in (x, y)
-        for rel, c in ((Relation.GE, lo), (Relation.LE, hi))
-    ]
-
-
 # Soundness of pruning by the whole premise, as verify_model does: a skipped
 # class must falsify some premise constraint on its representative.  The
 # fixed draws seldom cut a stream by a relational check, so the examples
@@ -218,6 +241,43 @@ def test_corpus_clauses_pruned_stream_filters_like_full_stream(raw):
                 _assert_filter_equal(
                     ctx.classes(len(bvars)), ctx.classes(len(bvars), checks), checks
                 )
+
+
+def _checks(arity, cons):
+    return compile_checks(MODE_BD, cons, {v: i for i, v in enumerate(_names(arity))})
+
+
+def test_zone_bounds_are_tighter_than_the_guards():
+    arity, kappa, cons = CHAIN
+    stream = list(enumerate_bd_unbounded(arity, kappa, _checks(arity, cons)))
+    assert stream
+    lows = [min(cls.cells[c][1] for cls in stream) for c in range(arity)]
+    highs = [max(cls.cells[c] for cls in stream)[1:] for c in range(arity)]
+    assert lows == [0, -1, -2]
+    assert highs == [(2, 0), (1, 0), (0, 0)]
+
+
+def test_empty_zone_streams_nothing():
+    arity, kappa, cons = EMPTY_CHAIN
+    checks = _checks(arity, cons)
+    assert list(enumerate_bd_unbounded(arity, kappa, checks)) == []
+    assert not [c for c in enumerate_bd_unbounded(arity, kappa) if _class_ok(c, checks)]
+
+
+@pytest.mark.parametrize("x1_bounds", [
+    [],
+    [VarConst("x1", Relation.GE, GroundTerm.constant(Fraction(0)))],
+    [VarConst("x1", Relation.LE, GroundTerm.constant(Fraction(1)))],
+])
+def test_unguarded_difference_is_a_fragment_error_before_any_class(x1_bounds):
+    # x0 in [0, 1] and x0 - x1 = 0: the zone would hold x1 in range too, but
+    # x1's own bounds do not, so the difference is outside the fragment even
+    # where classes with x1 in range come first in the stream.
+    cons = (_guarded("x0", "x0", 0, 1) + x1_bounds
+            + _diffs(("x0", "x1", Relation.EQ, 0)))
+    stream = enumerate_bd_unbounded(2, 1, _checks(2, cons))
+    with pytest.raises(FragmentError):
+        next(stream)
 
 
 def test_difference_check_beyond_kappa_is_a_fragment_error():

@@ -160,6 +160,21 @@ def test_bd_bounded_classifier_rejects_out_of_range():
         class_of_bd([Fraction(-5, 2)], 1, bounded=True)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: list(enumerate_bd_unbounded(1, -1)),
+    lambda: list(enumerate_bd_unbounded(-1, 1)),
+    lambda: list(enumerate_bd_bounded(1, -1)),
+    lambda: list(enumerate_bd_bounded(-1, 1)),
+    lambda: list(enumerate_slr_classes(-1, P01)),
+    lambda: class_of_bd([Fraction(0)], -1, bounded=True),
+    lambda: class_of_bd([Fraction(0)], -1, bounded=False),
+], ids=["bd-unbounded-kappa", "bd-unbounded-arity", "bd-bounded-kappa",
+        "bd-bounded-arity", "slr-arity", "classify-bounded", "classify-unbounded"])
+def test_negative_arity_or_kappa_is_a_value_error(make):
+    with pytest.raises(ValueError, match="nonnegative"):
+        make()
+
+
 @settings(max_examples=200)
 @given(st.lists(rational3, min_size=1, max_size=4), st.data())
 def test_bd_selection_commutes_with_classification(vals, data):

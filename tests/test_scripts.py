@@ -19,6 +19,7 @@ RUNS = [
     ["region_census.py", "--mode", "slr", "--points", "0,1", "--max-arity", "2", "--step", "4"],
     ["ta_differential.py", "--seed", "1", "--count", "1"],
     ["selection_growth.py", "--rounds", "2", "--sizes", "10"],
+    ["stream_digest.py", "--bsr", "4", "--timed", "1"],
 ]
 
 FAILURE_MARKS = ("BROKEN", "MISMATCH", "DISAGREE")
