@@ -7,6 +7,12 @@ exception raised while compiling or streaming is folded in as its type and
 message.  Two checkouts that print the same digests stream the same classes
 in the same order and raise the same errors.
 
+``--decide`` adds a third digest, ``decide``: for every clause set of both
+corpora in turn, the ``decide --output structured`` report without its
+``stat wall ms`` line (or the error that ``decide`` raised).  Two
+checkouts that print the same ``decide`` digest report the same verdicts,
+models, legends and counters.
+
 Corpora: ``bsr``, the first ``--bsr`` draws of ``random.Random(1706)``,
 alternating ``corpus._raw_bd`` and ``corpus._raw_slr`` (the benchmark's
 clause-set pool); ``timed``, the automata of ``timed_instances(0, --timed)``,
@@ -15,14 +21,15 @@ each encoded at its default delay granularity.  Both are normalized first.
 
 import argparse
 import hashlib
+import itertools
 import random
 import sys
 import time
 
 from bsrsat.corpus import _raw_bd, _raw_slr, timed_instances
-from bsrsat.decide import _contexts, _premise
+from bsrsat.decide import _contexts, _premise, decide
 from bsrsat.normalize import normalize
-from bsrsat.report import SolveStats
+from bsrsat.report import SolveStats, emit_result
 from bsrsat.terms import VarConst
 from bsrsat.timed import default_lambda, encode_reachability
 
@@ -71,10 +78,31 @@ def digest(sets) -> tuple[int, int, int, int, str]:
     return n_sets, n_streams, n_classes, n_errors, h.hexdigest()
 
 
+def decide_digest(sets) -> tuple[int, int, str]:
+    """(clause sets, errors, hex digest) of the structured decide reports."""
+    h = hashlib.sha256()
+    n_sets = n_errors = 0
+    for si, cs in enumerate(sets):
+        n_sets += 1
+        h.update(f"{si}\n".encode())
+        try:
+            text = emit_result(decide(cs), "structured")
+        except Exception as exc:  # folded in: errors must match too
+            n_errors += 1
+            h.update(f"error {type(exc).__name__}: {exc}\n".encode())
+            continue
+        for line in text.splitlines(keepends=True):
+            if not line.startswith("stat wall ms:"):
+                h.update(line.encode())
+    return n_sets, n_errors, h.hexdigest()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--bsr", type=int, default=1200, help="clause-set draws")
     ap.add_argument("--timed", type=int, default=20, help="timed automata")
+    ap.add_argument("--decide", action="store_true",
+                    help="also digest the structured decide report of every set")
     args = ap.parse_args()
     if args.bsr < 0 or args.timed < 0:
         ap.error("counts must be nonnegative")
@@ -85,6 +113,12 @@ def main() -> int:
         t0 = time.time()
         n_sets, n_streams, n_classes, n_errors, hexd = digest(sets)
         print(f"{name:<7}{n_sets:>6}{n_streams:>9}{n_classes:>10}{n_errors:>7}"
+              f"{time.time() - t0:>7.1f}s  {hexd}")
+    if args.decide:
+        t0 = time.time()
+        n_sets, n_errors, hexd = decide_digest(
+            itertools.chain(bsr_sets(args.bsr), timed_sets(args.timed)))
+        print(f"{'decide':<7}{n_sets:>6}{'-':>9}{'-':>10}{n_errors:>7}"
               f"{time.time() - t0:>7.1f}s  {hexd}")
     return 0
 

@@ -260,7 +260,7 @@ def timed_instances(seed: int, count: int = 20) -> list[tuple[TimedAutomaton, Re
     min_each = max(1, count // 3)
     for _ in range(200 * count):
         if len(out) == count:
-            return out
+            break
         aut, goal = _raw_automaton(rng)
         verdict = region_reach(aut, goal)
         short = min(tally.values())
@@ -269,7 +269,9 @@ def timed_instances(seed: int, count: int = 20) -> list[tuple[TimedAutomaton, Re
             continue
         tally[verdict] += 1
         out.append((aut, goal))
-    raise RuntimeError(f"automaton generation stalled: {tally}")
+    if len(out) < count:
+        raise RuntimeError(f"automaton generation stalled: {tally}")
+    return out
 
 
 # --- ground linear systems -------------------------------------------------

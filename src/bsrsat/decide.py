@@ -19,6 +19,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterator
 
 from .linarith import GroundSystem, solve_ground
@@ -29,12 +30,17 @@ from .regions import (
     PartitionJ,
     check_holds,
     class_of_bd,
+    class_of_bd_scaled,
     class_of_slr,
+    class_of_slr_scaled,
     compile_checks,
     enumerate_bd_unbounded,
     enumerate_slr_classes,
     ordered_set_partitions,
     representative,
+    representative_bd_scaled,
+    representative_slr_scaled,
+    scale,
     select_class,
 )
 from .report import (
@@ -48,6 +54,7 @@ from .terms import (
     MODE_SLR,
     ClauseSet,
     DeltaEq,
+    DiffConst,
     Equation,
     FragmentError,
     FreeTerm,
@@ -55,6 +62,8 @@ from .terms import (
     GroundTerm,
     Relation,
     SkolemDef,
+    VarConst,
+    VarVar,
     eval_constraint,
 )
 
@@ -126,6 +135,8 @@ class _Context:
     one: the checks that prune them (a clause's compiled premise,
     ``_premise``) differ from clause to clause, so a stream is rarely asked
     for twice.  Only the naive oracle asks for the full stream (no checks).
+    ``rep`` and ``classify`` work on rationals, for legends and the naive
+    oracle; ``scaled`` gives ``verify_model`` their integer forms.
     """
 
     def __init__(self, mode, gamma, kappa=None, partition=None):
@@ -149,6 +160,25 @@ class _Context:
         if self.mode == MODE_SLR:
             return class_of_slr(values, self.partition)
         return class_of_bd(values, self.kappa, bounded=False)
+
+    def scaled(self, arity: int):
+        """For the classes of one arity: (d, rep, classify), their one
+        denominator d, a class's representative as numerators over d, and
+        the class of a tuple of numerators over d."""
+        if self.mode == MODE_SLR:
+            d = self.partition.denominator(arity)
+            points = self.partition.scaled(d)
+            return (
+                d,
+                partial(representative_slr_scaled, points=points, d=d),
+                partial(class_of_slr_scaled, points=points),
+            )
+        d = arity + 2  # the ladder denominator of representative_bd
+        return (
+            d,
+            partial(representative_bd_scaled, d=d),
+            partial(class_of_bd_scaled, d=d, kappa=self.kappa, bounded=False),
+        )
 
 
 def _kappa_of(cs: ClauseSet) -> int:
@@ -477,17 +507,22 @@ def verify_model(cs: ClauseSet, desc: InterpretationDescriptor) -> bool:
     A clause's class stream is pruned by all its premise checks: every
     member of a skipped class falsifies a premise constraint, so the
     clause holds there.  The free assignments that no equation settles are
-    listed once per clause.  Each streamed class is judged once: its
-    representative must satisfy the whole premise under ``eval_constraint``
-    before the assignments are checked against the table, and each base
-    projection is classified the first time an assignment needs it.
+    listed once per clause.  Each streamed class is judged once, on
+    integers: its representative, as numerators over the clause's one
+    denominator (``_Context.scaled``), must satisfy every variable conjunct
+    of the premise, its constants scaled once per clause
+    (``_scaled_premise``), before the assignments are checked against the
+    table; each base projection is classified from its numerators the first
+    time an assignment needs it.  No ``Fraction`` is built per class:
+    rationals stay in ``gamma`` and in the model's legend.
     """
     ctx = _Context(desc.mode, desc.gamma, kappa=desc.kappa, partition=desc.partition)
+    table = {(a.pred, a.free_args, a.cls): bit for a, bit in desc.table.items()}
     for cl in cs.clauses:
         premise = _premise(ctx, cl)
         if premise is None:
             continue
-        bvars, _, checks = premise
+        bvars, vidx, checks = premise
         eq_neg = [a for a in cl.gamma if isinstance(a, Equation)]
         eq_pos = [a for a in cl.delta if isinstance(a, Equation)]
         atoms = [
@@ -497,7 +532,8 @@ def verify_model(cs: ClauseSet, desc: InterpretationDescriptor) -> bool:
             if not isinstance(a, Equation)
         ]
         cases = [
-            [(positive, a.pred, tuple(res(t) for t in a.free_args), a.base_args)
+            [(positive, a.pred, tuple(res(t) for t in a.free_args),
+              tuple(vidx[v] for v in a.base_args))
              for positive, a in atoms]
             for res in _open_assignments(
                 cl.free_vars(), eq_neg, eq_pos, desc.domain, desc.fconst_assign
@@ -505,24 +541,42 @@ def verify_model(cs: ClauseSet, desc: InterpretationDescriptor) -> bool:
         ]
         if not cases:
             continue
+        d, rep, classify = ctx.scaled(len(bvars))
+        scaled = _scaled_premise(ctx, cl.lam, vidx, d)
         for cls in ctx.classes(len(bvars), checks):
-            rep = ctx.rep(cls)
-            base = dict(zip(bvars, rep))
-            if not all(eval_constraint(c, base, ctx.gamma) for c in cl.lam):
+            nums = rep(cls)
+            if not all(
+                rel.holds(nums[i] if j is None else nums[i] - nums[j], k)
+                for rel, i, j, k in scaled
+            ):
                 continue
-            projected: dict[tuple[str, ...], object] = {}
+            projected: dict[tuple[int, ...], object] = {}
             for case in cases:
-                for positive, pred, free_args, base_args in case:
-                    pcls = projected.get(base_args)
+                for positive, pred, free_args, idxs in case:
+                    pcls = projected.get(idxs)
                     if pcls is None:
-                        pcls = projected[base_args] = ctx.classify(
-                            tuple(base[v] for v in base_args)
-                        )
-                    if desc.table.get(PropAtom(pred, free_args, pcls), False) == positive:
+                        pcls = projected[idxs] = classify(tuple(nums[i] for i in idxs))
+                    if table.get((pred, free_args, pcls), False) == positive:
                         break  # a premise atom is false or a conclusion atom true
                 else:
                     return False
     return True
+
+
+def _scaled_premise(ctx: _Context, lam, vidx, d: int) -> list[tuple]:
+    """The variable conjuncts of a premise as (rel, i, j, k) for
+    x_i - x_j rel k on numerators over ``d``: j is None for a bound and k
+    is 0 for var-var.  Ground conjuncts are settled per clause
+    (``_premise``)."""
+    out = []
+    for c in lam:
+        if isinstance(c, VarConst):
+            out.append((c.rel, vidx[c.var], None, scale(c.bound.evaluate(ctx.gamma), d)))
+        elif isinstance(c, VarVar):
+            out.append((c.rel, vidx[c.var], vidx[c.other], 0))
+        elif isinstance(c, DiffConst):
+            out.append((c.rel, vidx[c.var], vidx[c.other], scale(c.const, d)))
+    return out
 
 
 # --- naive oracle -----------------------------------------------------------

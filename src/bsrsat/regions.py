@@ -21,6 +21,20 @@ Each class has a deterministic representative whose class is the class
 itself, and a selection operation: reindexing a tuple through ``idx`` maps
 classes to classes.
 
+Values below the report boundary are integers: numerators over one
+denominator d shared by a whole tuple.  ``representative_bd_scaled`` and
+``representative_slr_scaled`` build a representative over d (bd: the
+ladder denominator, arity + 2 for unbounded classes; slr:
+``PartitionJ.denominator``, which also scales the partition points,
+``PartitionJ.scaled``), and ``class_of_bd_scaled`` and
+``class_of_slr_scaled`` classify numerators over d: floors and fractional
+parts by ``divmod``, intervals by bisecting the scaled points, and order by
+comparing integers.  ``Fraction`` appears only where a value is printed or
+handed out: ``representative``, ``representative_bd`` and
+``representative_slr`` convert a representative to rationals, and
+``class_of_bd`` and ``class_of_slr`` classify rationals by scaling them to
+their common denominator.
+
 Premise constraints compile to checks on cells (``compile_checks``), and
 ``check_holds`` decides one on a class.  The enumerators take a premise's
 checks and yield only the classes on which all of them hold.  Bounds read
@@ -39,6 +53,7 @@ raises ``FragmentError`` before the first class.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -53,7 +68,6 @@ from .terms import (
     Relation,
     VarConst,
     VarVar,
-    floor_fr,
     rat,
 )
 
@@ -126,16 +140,20 @@ def _groups(keys: Iterable) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(by_key[k]) for k in sorted(by_key))
 
 
-def _ranks(keys: Sequence) -> list[int]:
+def _ranks(keys: Sequence[int]) -> list[int]:
     """Per position, the rank of its key among the distinct keys, ascending
-    from 0.  Keys are compared, not hashed: hashing a Fraction is slow."""
-    ranks = [0] * len(keys)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    r = 0
-    for a, b in zip(order, order[1:]):
-        r += keys[a] != keys[b]
-        ranks[b] = r
-    return ranks
+    from 0."""
+    rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return [rank[k] for k in keys]
+
+
+def scale(q: Fraction, d: int) -> int:
+    """The numerator of ``q`` over the denominator ``d``; ``q * d`` must be
+    an integer."""
+    n, rem = divmod(q.numerator * d, q.denominator)
+    if rem:
+        raise ValueError(f"{q} has no numerator over the denominator {d}")
+    return n
 
 
 def ordered_set_partitions(items: Sequence) -> Iterator[tuple[tuple, ...]]:
@@ -194,17 +212,18 @@ class PartitionJ:
         return 2 * len(self.points) + 1
 
     def interval_of(self, value: RationalLike) -> int:
-        v = rat(value)
-        lo, hi = 0, len(self.points)
-        while lo < hi:  # first point >= v
-            mid = (lo + hi) // 2
-            if self.points[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.points) and self.points[lo] == v:
-            return 2 * lo + 1
-        return 2 * lo
+        return _interval(self.points, rat(value))
+
+    def denominator(self, arity: int) -> int:
+        """The one denominator of the representatives of arity-``arity``
+        classes: it scales every point to an integer, and the ladders that
+        split an interval between two points into up to ``arity`` + 1 parts
+        with it."""
+        return math.lcm(*(p.denominator for p in self.points)) * math.lcm(*range(1, arity + 2))
+
+    def scaled(self, d: int) -> tuple[int, ...]:
+        """The points as numerators over ``d``."""
+        return tuple(scale(p, d) for p in self.points)
 
     def is_point_interval(self, idx: int) -> bool:
         return idx % 2 == 1
@@ -221,9 +240,27 @@ class PartitionJ:
         return idx
 
 
+def _interval(points: Sequence, v) -> int:
+    """Index of the interval of ``v`` in the partition by ascending
+    ``points``; both numerators over one denominator, or both rationals."""
+    lo = bisect.bisect_left(points, v)  # first point >= v
+    return 2 * lo + 1 if lo < len(points) and points[lo] == v else 2 * lo
+
+
+def class_of_slr_scaled(nums: Sequence[int], points: Sequence[int]) -> RegionClass:
+    """The class of the tuple of numerators ``nums`` under the partition
+    points ``points``, numerators over the same denominator."""
+    return RegionClass(
+        tuple(zip(_ranks(nums), [_interval(points, n) for n in nums])), FAMILY_SLR
+    )
+
+
 def class_of_slr(values: Sequence[RationalLike], partition: PartitionJ) -> RegionClass:
+    """The class of a tuple of rationals: ``class_of_slr_scaled`` over their
+    common denominator with the points'."""
     vals = [rat(v) for v in values]
-    return RegionClass(tuple(zip(_ranks(vals), map(partition.interval_of, vals))), FAMILY_SLR)
+    d = math.lcm(*(q.denominator for q in (*vals, *partition.points)))
+    return class_of_slr_scaled([scale(v, d) for v in vals], partition.scaled(d))
 
 
 def enumerate_slr_classes(
@@ -274,66 +311,94 @@ def _interval_assignments(per_block: Sequence[Sequence[int]]) -> Iterator[tuple[
     yield from rec(0, 0)
 
 
-def representative_slr(cls: RegionClass, partition: PartitionJ) -> tuple[Fraction, ...]:
-    """One member per class: points take their value; open intervals take an
-    ascending ladder with as many rungs as the interval hosts blocks."""
+def representative_slr_scaled(
+    cls: RegionClass, points: Sequence[int], d: int
+) -> tuple[int, ...]:
+    """One member per class, as numerators over ``d``, a multiple of
+    ``PartitionJ.denominator(arity)``; ``points`` are the partition points
+    over ``d`` (``PartitionJ.scaled``).  Points take their value; open
+    intervals take an ascending ladder with as many rungs as the interval
+    hosts blocks: 1, 2, ... without points, unit steps away from the outer
+    points, and ``a + (b - a) * j / (n + 1)`` between points a < b."""
+    interval = dict(cls.cells)  # block -> interval
     per_interval: dict[int, list[int]] = {}
-    for bi, (iv, _) in enumerate(cls.slr_blocks()):
-        per_interval.setdefault(iv, []).append(bi)
-    values: dict[int, Fraction] = {}
-    pts = partition.points
+    for bi in sorted(interval):
+        per_interval.setdefault(interval[bi], []).append(bi)
+    values: dict[int, int] = {}
     for iv, bis in per_interval.items():
         n = len(bis)
         if iv % 2 == 1:
             if n != 1:
                 raise RegionRangeError(f"{n} value blocks share the point interval {iv}")
-            values[bis[0]] = pts[iv // 2]
-        elif not pts:
+            values[bis[0]] = points[iv // 2]
+        elif not points:
             for j, bi in enumerate(bis, start=1):
-                values[bi] = Fraction(j)
+                values[bi] = j * d
         elif iv == 0:
             for j, bi in enumerate(bis, start=1):
-                values[bi] = pts[0] - (n + 1 - j)
-        elif iv == 2 * len(pts):
+                values[bi] = points[0] - (n + 1 - j) * d
+        elif iv == 2 * len(points):
             for j, bi in enumerate(bis, start=1):
-                values[bi] = pts[-1] + j
+                values[bi] = points[-1] + j * d
         else:
-            a, b = pts[iv // 2 - 1], pts[iv // 2]
+            a, b = points[iv // 2 - 1], points[iv // 2]
             for j, bi in enumerate(bis, start=1):
-                values[bi] = a + (b - a) * Fraction(j, n + 1)
+                values[bi] = a + (b - a) * j // (n + 1)
     return tuple(values[b] for b, _ in cls.cells)
+
+
+def representative_slr(cls: RegionClass, partition: PartitionJ) -> tuple[Fraction, ...]:
+    """``representative_slr_scaled`` as rationals."""
+    d = partition.denominator(cls.arity)
+    return tuple(Fraction(n, d) for n in representative_slr_scaled(cls, partition.scaled(d), d))
 
 
 # --- bounded difference classes -------------------------------------------
 
 
-def class_of_bd(values: Sequence[RationalLike], kappa: int, bounded: bool) -> RegionClass:
+def class_of_bd_scaled(
+    nums: Sequence[int], d: int, kappa: int, bounded: bool
+) -> RegionClass:
+    """The class of the tuple of numerators ``nums`` over the denominator
+    ``d``: ``divmod`` by ``d`` gives the floor and the numerator of the
+    fractional part, and integers are ranked."""
     if kappa < 0:  # not _require_sizes: verify calls this once per projection
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    vals = [rat(v) for v in values]
     if bounded:
-        for v in vals:
-            if not (-kappa - 1 < v < kappa + 1):
+        lim = (kappa + 1) * d
+        for n in nums:
+            if not -lim < n < lim:
                 raise RegionRangeError(
-                    f"{v} outside (-{kappa + 1}, {kappa + 1}) for the bounded classifier"
+                    f"{Fraction(n, d)} outside (-{kappa + 1}, {kappa + 1}) "
+                    "for the bounded classifier"
                 )
-    below, above, inside = [], [], []
-    for c, v in enumerate(vals):
-        if bounded or -kappa <= v <= kappa:
-            inside.append(c)
+    edge = kappa * d
+    # per coordinate (bucket, floor, key), the key ranked within the bucket:
+    # in range the fractional part's numerator, beyond +/-kappa the value
+    keys = []
+    for n in nums:
+        if bounded or -edge <= n <= edge:
+            fl, fr = divmod(n, d)
+            keys.append((BUCKET_IN, fl, fr))
         else:
-            (below if v < 0 else above).append(c)
-    cells: list = [None] * len(vals)
-    for bucket, coords in ((BUCKET_BELOW, below), (BUCKET_ABOVE, above)):
-        for c, r in zip(coords, _ranks([vals[c] for c in coords])):
-            cells[c] = (bucket, 0, r)
-    split = [floor_fr(vals[c]) for c in inside]
-    # a leading 0 gives vanishing fractional parts rank 0, positive ones 1, 2, ...
-    fr_ranks = _ranks([0] + [fr for _, fr in split])[1:]
-    for c, (fl, _), r in zip(inside, split, fr_ranks):
-        cells[c] = (BUCKET_IN, fl, r)
+            keys.append((BUCKET_BELOW if n < 0 else BUCKET_ABOVE, 0, n))
+    # the key 0 in range gives vanishing fractional parts rank 0, positive ones 1, 2, ...
+    rank = {}
+    prev, r = None, 0
+    for bk, key in sorted({(bk, key) for bk, _, key in keys} | {(BUCKET_IN, 0)}):
+        r = r + 1 if bk == prev else 0
+        prev = bk
+        rank[bk, key] = r
     family = FAMILY_BD_BOUNDED if bounded else FAMILY_BD_UNBOUNDED
-    return RegionClass(tuple(cells), family, kappa)
+    return RegionClass(tuple((bk, f, rank[bk, key]) for bk, f, key in keys), family, kappa)
+
+
+def class_of_bd(values: Sequence[RationalLike], kappa: int, bounded: bool) -> RegionClass:
+    """The class of a tuple of rationals: ``class_of_bd_scaled`` over their
+    common denominator."""
+    vals = [rat(v) for v in values]
+    d = math.lcm(*(v.denominator for v in vals))
+    return class_of_bd_scaled([scale(v, d) for v in vals], d, kappa, bounded)
 
 
 def enumerate_bd_bounded(
@@ -388,6 +453,9 @@ def enumerate_bd_unbounded(
         *((BUCKET_IN, f, r) for r in (1, 0) for f in range(-kappa, kappa + 1 - r)),
         (BUCKET_ABOVE, 0, 0),
     ]
+    for ch in checks:
+        if ch[0] == "bd_const" and abs(ch[3]) > kappa:
+            raise FragmentError(f"bd constant {ch[3]} beyond +/-kappa = {kappa}")
     admitted = [_admitted(c, bound_cells, checks) for c in coords]
     for ch in checks:
         if ch[0] == "diff" and ch[2] != ch[3]:
@@ -461,8 +529,15 @@ def _admitted(c: int, cells: Sequence[tuple], checks: Sequence[tuple]) -> list[t
     """The candidate ``cells`` of coordinate ``c`` on which every bound on
     ``c`` holds, in their order.  A bound reads only the cell of its own
     coordinate, so this settles it once for every class."""
-    bounds = [ch for ch in checks if ch[0] in ("bd_const", "slr_const") and ch[2] == c]
-    return [cell for cell in cells if all(check_holds(ch, {c: cell}) for ch in bounds)]
+    out = list(cells)
+    for kind, rel, i, k, *_ in checks:
+        if i != c:
+            continue
+        if kind == "bd_const":
+            out = [cell for cell in out if rel.holds(_bound_sign(cell, k), 0)]
+        elif kind == "slr_const":
+            out = [cell for cell in out if rel.holds(_cmp(cell[1], k), 0)]
+    return out
 
 
 # --- zones: closed difference-bound matrices --------------------------------
@@ -640,32 +715,40 @@ def _outer_block_counts(cells) -> tuple[int, int]:
     return below, above
 
 
-def representative_bd(cls: RegionClass) -> tuple[Fraction, ...]:
-    """Deterministic member of the class.
+def representative_bd_scaled(cls: RegionClass, d: int) -> tuple[int, ...]:
+    """Deterministic member of the class, as numerators over ``d``.
 
-    Positive fractional parts climb a ladder of rungs j / d.  Bounded
-    classes take d = (number of positive fractional blocks) + 1.  Unbounded
-    classes take d = arity + 2 and assign the rungs to Below blocks first,
-    then Above, then in-range positive blocks, so representatives obey
-    fr(Below) < fr(Above) < positive fr(In).
+    Positive fractional parts climb a ladder of rungs j / d, so ``d`` must
+    exceed every rung the class takes (``representative_bd`` gives the
+    least such d).  Bounded classes take rung r for fractional rank r.
+    Unbounded classes assign the rungs to Below blocks first, then Above,
+    then in-range positive blocks, so representatives obey
+    fr(Below) < fr(Above) < positive fr(In); d = arity + 2 suffices.
     """
     cells, kappa = cls.cells, cls.kappa
     below, above = _outer_block_counts(cells)
-    if cls.family == FAMILY_BD_BOUNDED:
-        d = 1 + max((r for _, _, r in cells), default=0)
-    else:
-        d = len(cells) + 2
     out = []
     for bk, f, r in cells:
         if bk == BUCKET_BELOW:
-            out.append(-kappa - (below - r) + Fraction(r + 1, d))
+            out.append((-kappa - (below - r)) * d + r + 1)
         elif bk == BUCKET_ABOVE:
-            out.append(kappa + r + 1 + Fraction(below + r + 1, d))
+            out.append((kappa + r + 1) * d + below + r + 1)
         elif r == 0:
-            out.append(Fraction(f))
+            out.append(f * d)
         else:
-            out.append(f + Fraction(below + above + r, d))
+            out.append(f * d + below + above + r)
     return tuple(out)
+
+
+def representative_bd(cls: RegionClass) -> tuple[Fraction, ...]:
+    """``representative_bd_scaled`` as rationals, over the ladder
+    denominator d = arity + 2 for unbounded classes and d = (number of
+    positive fractional blocks) + 1 for bounded ones."""
+    if cls.family == FAMILY_BD_BOUNDED:
+        d = 1 + max((r for _, _, r in cls.cells), default=0)
+    else:
+        d = cls.arity + 2
+    return tuple(Fraction(n, d) for n in representative_bd_scaled(cls, d))
 
 
 def rho_sigma(cls: RegionClass) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -723,6 +806,7 @@ def bounded_subclass(cls: RegionClass) -> RegionClass:
 
 
 def representative(cls: RegionClass, partition: PartitionJ | None = None) -> tuple[Fraction, ...]:
+    """A class's representative as rationals, for legends and printing."""
     if cls.family != FAMILY_SLR:
         return representative_bd(cls)
     if partition is None:
@@ -763,7 +847,8 @@ def compile_checks(mode: str, constraints, vidx, gamma=None, partition=None) -> 
     Bounds come first so that difference checks, which need their
     coordinates in range, only run once the guard bounds held.  Slr bounds
     are evaluated under ``gamma`` and must be points of ``partition``; bd
-    constants must be integers of absolute value at most kappa.
+    constants must be integers, and ``enumerate_bd_unbounded`` rejects a
+    bound beyond +/-kappa with ``FragmentError``.
     """
     checks: list[tuple] = []
     for c in constraints:

@@ -1,7 +1,10 @@
 """Decision procedure: hand instances, model soundness, search limits."""
 
+import ast
+import inspect
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -223,15 +226,64 @@ def test_verify_model_builds_one_representative_per_premise_class(monkeypatch):
         bound_classes += len(list(ctx.classes(len(bvars), ctx.checks(bounds, vidx))))
     assert premise_classes < bound_classes
     built = []
-    real = decide_mod.representative
+    real = decide_mod.representative_bd_scaled
 
-    def counting(cls, *args):
+    def counting(cls, *args, **kwargs):
         built.append(cls)
-        return real(cls, *args)
+        return real(cls, *args, **kwargs)
 
-    monkeypatch.setattr(decide_mod, "representative", counting)
+    monkeypatch.setattr(decide_mod, "representative_bd_scaled", counting)
     assert verify_model(n, r.model)
     assert len(built) == premise_classes
+
+
+def test_verify_model_builds_no_fraction_per_class(monkeypatch):
+    # verify scales the premise constants once per clause and then compares
+    # integers: the Fractions it builds stay within the number of premise
+    # constants however many classes it streams
+    seen = {}
+    for top in (1, 3):
+        n = normalize(parse_clause_set(
+            "mode bd\npred P : S^1 R^3\nfreeconst a\n"
+            f"clause [x >= -{top}; x <= {top}; y >= 0; y <= {top}; x - y < 1] [] "
+            "-> [P(a, x, y, z)]\n"
+        ))
+        constants = sum(len(cl.rationals()) for cl in n.clauses)
+        r = decide(n)
+        assert r.status == STATUS_SAT
+        made = streamed = 0
+        real_new, real_rep = Fraction.__new__, decide_mod.representative_bd_scaled
+
+        def counting_new(cls, *args, **kwargs):
+            nonlocal made
+            made += 1
+            return real_new(cls, *args, **kwargs)
+
+        def counting_rep(*args, **kwargs):
+            nonlocal streamed
+            streamed += 1
+            return real_rep(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(decide_mod, "representative_bd_scaled", counting_rep)
+            m.setattr(Fraction, "__new__", counting_new)
+            assert verify_model(n, r.model)
+        assert made <= constants
+        seen[top] = made, streamed
+    assert seen[3][1] > 10 * seen[1][1]
+    assert seen[3][0] <= seen[1][0], seen
+
+
+def test_verify_model_judges_values_not_cells():
+    # verify re-checks the premise on representatives; it reads neither the
+    # cell checks that pruned the stream nor the class selection of grounding
+    names = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for fn in (decide_mod.verify_model, decide_mod._scaled_premise)
+        for node in ast.walk(ast.parse(inspect.getsource(fn)))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert not names & {"check_holds", "select_class", "_class_ok"}
 
 
 # --- resource limits and options --------------------------------------------

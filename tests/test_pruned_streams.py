@@ -288,3 +288,12 @@ def test_difference_check_beyond_kappa_is_a_fragment_error():
         _class_ok(cls, [check])
     with pytest.raises(FragmentError):
         list(enumerate_bd_unbounded(2, 1, [check]))
+
+
+def test_bound_beyond_kappa_is_a_fragment_error_before_any_class():
+    # at kappa 1 the class above kappa (representative 7/3) would pass for
+    # x >= 5: a bound reads whole cells only within +/-kappa
+    x = VarConst("x", Relation.GE, GroundTerm.constant(Fraction(5)))
+    stream = enumerate_bd_unbounded(1, 1, compile_checks(MODE_BD, [x], {"x": 0}))
+    with pytest.raises(FragmentError):
+        next(stream)

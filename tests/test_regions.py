@@ -1,6 +1,7 @@
 """Region equivalence classes: round-trips, censuses, selection coherence."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsrsat.regions import (
+    BUCKET_ABOVE,
+    BUCKET_BELOW,
+    BUCKET_IN,
     FAMILY_BD_BOUNDED,
+    FAMILY_BD_UNBOUNDED,
     FAMILY_SLR,
     PartitionJ,
     RegionClass,
@@ -16,14 +21,18 @@ from bsrsat.regions import (
     apply_rho_sigma,
     bounded_subclass,
     class_of_bd,
+    class_of_bd_scaled,
     class_of_slr,
+    class_of_slr_scaled,
     enumerate_bd_bounded,
     enumerate_bd_unbounded,
     enumerate_slr_classes,
     ordered_set_partitions,
     representative,
     representative_bd,
+    representative_bd_scaled,
     representative_slr,
+    representative_slr_scaled,
     rho_sigma,
     select_class,
 )
@@ -130,19 +139,31 @@ def test_bd_box_census_frozen():
     assert len(list(boxed)) == 54
 
 
-@pytest.mark.parametrize("arity,kappa", [(1, 1), (2, 1), (2, 2), (3, 1)])
+def _assert_bd_scaled_round_trip(cls, rep, d, bounded):
+    # d is the ladder denominator of representative_bd; larger ones give
+    # other members of the same class
+    assert [Fraction(n, d) for n in representative_bd_scaled(cls, d)] == list(rep)
+    for scaled_d in (d, d + 1, 2 * d):
+        nums = representative_bd_scaled(cls, scaled_d)
+        assert class_of_bd_scaled(nums, scaled_d, cls.kappa, bounded) == cls
+
+
+@pytest.mark.parametrize("arity,kappa", [(1, 1), (2, 1), (2, 2), (3, 1), (0, 1), (1, 2), (3, 2)])
 def test_bd_bounded_round_trip_exhaustive(arity, kappa):
     for cls in enumerate_bd_bounded(arity, kappa):
         rep = representative_bd(cls)
         assert all(-kappa - 1 < v < kappa + 1 for v in rep)
         assert class_of_bd(rep, kappa, bounded=True) == cls
+        d = 1 + max((r for _, _, r in cls.cells), default=0)
+        _assert_bd_scaled_round_trip(cls, rep, d, bounded=True)
 
 
-@pytest.mark.parametrize("arity,kappa", [(1, 1), (2, 1), (3, 1)])
+@pytest.mark.parametrize("arity,kappa", [(1, 1), (2, 1), (3, 1), (0, 1), (1, 2), (2, 2), (3, 2)])
 def test_bd_unbounded_round_trip_exhaustive(arity, kappa):
     for cls in enumerate_bd_unbounded(arity, kappa):
         rep = representative_bd(cls)
         assert class_of_bd(rep, kappa, bounded=False) == cls
+        _assert_bd_scaled_round_trip(cls, rep, arity + 2, bounded=False)
 
 
 def test_bd_grid_census_matches_enumeration():
@@ -238,6 +259,97 @@ def test_bounded_subclass_is_identity_inside_window():
     vals = [Fraction(1, 2), Fraction(-1)]
     unb = class_of_bd(vals, 1, bounded=False)
     assert bounded_subclass(unb) == class_of_bd(vals, 1, bounded=True)
+
+
+# --- numerators over one denominator ---------------------------------------
+#
+# The reference classes below are built from Fraction comparisons alone,
+# straight from the definitions in the module docstring of regions.
+
+
+def _bd_class_by_comparison(vals, kappa, bounded):
+    inside = [bounded or -kappa <= v <= kappa for v in vals]
+    frs = {v - math.floor(v) for v, ok in zip(vals, inside) if ok}
+    cells = []
+    for v, ok in zip(vals, inside):
+        if ok:
+            fr = v - math.floor(v)
+            cells.append((BUCKET_IN, math.floor(v), sum(0 < w <= fr for w in frs)))
+        else:
+            bucket = BUCKET_BELOW if v < 0 else BUCKET_ABOVE
+            same = {w for w, ok2 in zip(vals, inside) if not ok2 and (w < 0) == (v < 0)}
+            cells.append((bucket, 0, sum(w < v for w in same)))
+    family = FAMILY_BD_BOUNDED if bounded else FAMILY_BD_UNBOUNDED
+    return RegionClass(tuple(cells), family, kappa)
+
+
+def _slr_class_by_comparison(vals, points):
+    cells = []
+    for v in vals:
+        below = sum(p < v for p in points)
+        iv = 2 * below + 1 if v in points else 2 * below
+        cells.append((sum(w < v for w in set(vals)), iv))
+    return RegionClass(tuple(cells), FAMILY_SLR)
+
+
+def _numerators(vals, extra_denominators, data):
+    """Numerators of vals over a common denominator of theirs and the
+    extra ones, times a drawn factor so that the fractions need not be
+    reduced."""
+    d = math.lcm(*(v.denominator for v in vals), *extra_denominators)
+    d *= data.draw(st.integers(1, 3))
+    return [int(v * d) for v in vals], d
+
+
+# negative, beyond +/-kappa, on integers and on the partition points
+edgy = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.integers(-4, 4).map(Fraction),
+    st.sampled_from([Fraction(1, 3), Fraction(-1, 3), Fraction(-7, 3), Fraction(5, 2)]),
+)
+
+
+@settings(max_examples=400)
+@given(st.lists(edgy, max_size=5), st.integers(0, 3), st.booleans(), st.data())
+def test_scaled_bd_class_matches_value_comparisons(vals, kappa, bounded, data):
+    nums, d = _numerators(vals, (), data)
+    if bounded and not all(-kappa - 1 < v < kappa + 1 for v in vals):
+        with pytest.raises(RegionRangeError):
+            class_of_bd_scaled(nums, d, kappa, bounded)
+        return
+    want = _bd_class_by_comparison(vals, kappa, bounded)
+    assert class_of_bd_scaled(nums, d, kappa, bounded) == want
+    assert class_of_bd(vals, kappa, bounded) == want
+
+
+@settings(max_examples=400)
+@given(
+    st.sampled_from([(), (Fraction(0),), (Fraction(0), Fraction(1, 3)),
+                     (Fraction(-7, 3), Fraction(1, 2), Fraction(2))]),
+    st.data(),
+)
+def test_scaled_slr_class_matches_value_comparisons(points, data):
+    vals = data.draw(st.lists(st.one_of(edgy, st.sampled_from(points or (0,))), max_size=5))
+    vals = [Fraction(v) for v in vals]
+    nums, d = _numerators(vals, [p.denominator for p in points], data)
+    partition = PartitionJ.make(points)
+    want = _slr_class_by_comparison(vals, points)
+    assert class_of_slr_scaled(nums, partition.scaled(d)) == want
+    assert class_of_slr(vals, partition) == want
+
+
+@pytest.mark.parametrize("points", [(), (0,), (0, Fraction(1, 3))], ids=str)
+def test_slr_scaled_round_trip_up_to_arity_3(points):
+    partition = PartitionJ.make(points)
+    for arity in range(4):
+        d = partition.denominator(arity)
+        for cls in enumerate_slr_classes(arity, partition):
+            rep = representative(cls, partition)
+            assert class_of_slr(rep, partition) == cls
+            for scaled_d in (d, 2 * d):
+                nums = representative_slr_scaled(cls, partition.scaled(scaled_d), scaled_d)
+                assert [Fraction(n, scaled_d) for n in nums] == list(rep)
+                assert class_of_slr_scaled(nums, partition.scaled(scaled_d)) == cls
 
 
 # --- generic wrappers -------------------------------------------------------

@@ -20,6 +20,7 @@ RUNS = [
     ["ta_differential.py", "--seed", "1", "--count", "1"],
     ["selection_growth.py", "--rounds", "2", "--sizes", "10"],
     ["stream_digest.py", "--bsr", "4", "--timed", "1"],
+    ["stream_digest.py", "--bsr", "4", "--timed", "1", "--decide"],
 ]
 
 FAILURE_MARKS = ("BROKEN", "MISMATCH", "DISAGREE")

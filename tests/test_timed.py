@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from bsrsat.corpus import timed_instances
 from bsrsat.decide import decide
 from bsrsat.parser import parse_goal, parse_ta
 from bsrsat.normalize import normalize
@@ -284,3 +285,7 @@ def test_lambda_monotone_verdicts():
 def test_goal_string_round_trip():
     q = parse_goal("idle: x - y >= 1", DEMO)
     assert str(q) == "idle:x - y >= 1"
+
+
+def test_no_timed_instances_asked_none_drawn():
+    assert timed_instances(0, 0) == []
