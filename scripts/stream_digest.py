@@ -7,7 +7,11 @@ exception raised while compiling or streaming is folded in as its type and
 message.  Two checkouts that print the same digests stream the same classes
 in the same order and raise the same errors.
 
-``--decide`` adds a third digest, ``decide``: for every clause set of both
+The ``normal`` line digests the ``print_clause_set`` text of every
+normalized clause set of both corpora in turn, so two checkouts that print
+the same ``normal`` digest produce the same normal forms.
+
+``--decide`` adds a fourth digest, ``decide``: for every clause set of both
 corpora in turn, the ``decide --output structured`` report without its
 ``stat wall ms`` line (or the error that ``decide`` raised).  Two
 checkouts that print the same ``decide`` digest report the same verdicts,
@@ -29,6 +33,7 @@ import time
 from bsrsat.corpus import _raw_bd, _raw_slr, timed_instances
 from bsrsat.decide import _contexts, _premise, decide
 from bsrsat.normalize import normalize
+from bsrsat.parser import print_clause_set
 from bsrsat.report import SolveStats, emit_result
 from bsrsat.terms import VarConst
 from bsrsat.timed import default_lambda, encode_reachability
@@ -78,6 +83,16 @@ def digest(sets) -> tuple[int, int, int, int, str]:
     return n_sets, n_streams, n_classes, n_errors, h.hexdigest()
 
 
+def normal_digest(sets) -> tuple[int, str]:
+    """(clause sets, hex digest) of the printed normal forms."""
+    h = hashlib.sha256()
+    n_sets = 0
+    for si, cs in enumerate(sets):
+        n_sets += 1
+        h.update(f"{si}\n{print_clause_set(cs)}".encode())
+    return n_sets, h.hexdigest()
+
+
 def decide_digest(sets) -> tuple[int, int, str]:
     """(clause sets, errors, hex digest) of the structured decide reports."""
     h = hashlib.sha256()
@@ -114,6 +129,10 @@ def main() -> int:
         n_sets, n_streams, n_classes, n_errors, hexd = digest(sets)
         print(f"{name:<7}{n_sets:>6}{n_streams:>9}{n_classes:>10}{n_errors:>7}"
               f"{time.time() - t0:>7.1f}s  {hexd}")
+    t0 = time.time()
+    n_sets, hexd = normal_digest(itertools.chain(bsr_sets(args.bsr), timed_sets(args.timed)))
+    print(f"{'normal':<7}{n_sets:>6}{'-':>9}{'-':>10}{'-':>7}"
+          f"{time.time() - t0:>7.1f}s  {hexd}")
     if args.decide:
         t0 = time.time()
         n_sets, n_errors, hexd = decide_digest(

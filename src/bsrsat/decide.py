@@ -345,20 +345,23 @@ def _preorder_gamma(pre, def_constraints, skolems):
     Strictness across blocks keeps the branch enumeration complete: a
     witness that merged two blocks would duplicate the coarser ordered
     partition, which is enumerated in its own right.
+
+    The system is a chain over the flattened preorder: ``=`` between
+    neighbours in one block, ``<`` from the last element of a block to the
+    first of the next, nothing between two rationals (whose order the
+    preorder already respects).  By transitivity it has the same solutions
+    as the system over all pairs, and so the same witness: back-substitution
+    picks from the exact projection intervals, which depend only on the
+    solution set and the elimination order (the sorted names).
     """
     sys = GroundSystem()
     for left, rel, right in def_constraints:
         sys.add(left, rel, right)
-    for bi, block in enumerate(pre):
-        for bj in range(bi, len(pre)):
-            for c in block:
-                for c2 in pre[bj]:
-                    if c == c2 or (
-                        isinstance(c, Fraction) and isinstance(c2, Fraction)
-                    ):
-                        continue
-                    rel = Relation.LE if bi == bj else Relation.LT
-                    sys.add(_gterm(c), rel, _gterm(c2))
+    flat = [(bi, e) for bi, block in enumerate(pre) for e in block]
+    for (bi, c), (bj, c2) in zip(flat, flat[1:]):
+        if isinstance(c, Fraction) and isinstance(c2, Fraction):
+            continue
+        sys.add(_gterm(c), Relation.EQ if bi == bj else Relation.LT, _gterm(c2))
     return solve_ground(sys, names=list(skolems))
 
 

@@ -147,6 +147,19 @@ def _ranks(keys: Sequence[int]) -> list[int]:
     return [rank[k] for k in keys]
 
 
+def _bucket_ranks(keys: Iterable[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    """Per (bucket, key), the rank of the key among the distinct keys of its
+    bucket, ascending from 0.  (BUCKET_IN, 0) is always ranked, so in range
+    the key 0 (a vanishing fractional part) ranks 0 and positive keys 1, 2, ..."""
+    rank = {}
+    prev, r = None, 0
+    for bk, key in sorted(set(keys) | {(BUCKET_IN, 0)}):
+        r = r + 1 if bk == prev else 0
+        prev = bk
+        rank[bk, key] = r
+    return rank
+
+
 def scale(q: Fraction, d: int) -> int:
     """The numerator of ``q`` over the denominator ``d``; ``q * d`` must be
     an integer."""
@@ -382,13 +395,7 @@ def class_of_bd_scaled(
             keys.append((BUCKET_IN, fl, fr))
         else:
             keys.append((BUCKET_BELOW if n < 0 else BUCKET_ABOVE, 0, n))
-    # the key 0 in range gives vanishing fractional parts rank 0, positive ones 1, 2, ...
-    rank = {}
-    prev, r = None, 0
-    for bk, key in sorted({(bk, key) for bk, _, key in keys} | {(BUCKET_IN, 0)}):
-        r = r + 1 if bk == prev else 0
-        prev = bk
-        rank[bk, key] = r
+    rank = _bucket_ranks((bk, key) for bk, _, key in keys)
     family = FAMILY_BD_BOUNDED if bounded else FAMILY_BD_UNBOUNDED
     return RegionClass(tuple((bk, f, rank[bk, key]) for bk, f, key in keys), family, kappa)
 
@@ -820,16 +827,10 @@ def select_class(cls: RegionClass, idx: Sequence[int]) -> RegionClass:
     In range, rank 0 stays reserved for a vanishing fractional part."""
     picked = [cls.cells[s] for s in idx]
     if cls.family == FAMILY_SLR:
-        blocks = {b for b, _ in picked}
-        return cls._replace(
-            cells=tuple((sum(o < b for o in blocks), iv) for b, iv in picked)
-        )
-    ranks = {(bk, r) for bk, _, r in picked} | {(BUCKET_IN, 0)}
-    return cls._replace(
-        cells=tuple(
-            (bk, f, sum(o == bk and q < r for o, q in ranks)) for bk, f, r in picked
-        )
-    )
+        blocks = _ranks([b for b, _ in picked])
+        return cls._replace(cells=tuple((b, iv) for b, (_, iv) in zip(blocks, picked)))
+    rank = _bucket_ranks((bk, r) for bk, _, r in picked)
+    return cls._replace(cells=tuple((bk, f, rank[bk, r]) for bk, f, r in picked))
 
 
 # --- premise checks on class cells -----------------------------------------

@@ -149,7 +149,10 @@ class GroundTerm:
         return GroundTerm.make(self.offset * k, {n: c * k for n, c in self.coeffs})
 
     def sub(self, other: "GroundTerm") -> "GroundTerm":
-        return self.add(other.scale(-1))
+        d = dict(self.coeffs)
+        for n, c in other.coeffs:
+            d[n] = d.get(n, Fraction(0)) - c
+        return GroundTerm.make(self.offset - other.offset, d)
 
     def __str__(self) -> str:
         parts: list[str] = []
@@ -386,8 +389,7 @@ def atom_base_vars(a: FreeAtom) -> tuple[str, ...]:
 # --- clauses ---------------------------------------------------------------
 
 
-def _rel_key(r: Relation) -> int:
-    return list(Relation).index(r)
+_REL_KEY = {r: i for i, r in enumerate(Relation)}  # declaration order
 
 
 def _term_key(t: GroundTerm):
@@ -396,13 +398,13 @@ def _term_key(t: GroundTerm):
 
 def constraint_sort_key(c: Constraint):
     if isinstance(c, VarConst):
-        return (0, c.var, _rel_key(c.rel), _term_key(c.bound))
+        return (0, c.var, _REL_KEY[c.rel], _term_key(c.bound))
     if isinstance(c, VarVar):
-        return (1, c.var, _rel_key(c.rel), c.other)
+        return (1, c.var, _REL_KEY[c.rel], c.other)
     if isinstance(c, DiffConst):
-        return (2, c.var, c.other, _rel_key(c.rel), c.const)
+        return (2, c.var, c.other, _REL_KEY[c.rel], c.const)
     if isinstance(c, GroundCmp):
-        return (3, _term_key(c.left), _rel_key(c.rel), _term_key(c.right))
+        return (3, _term_key(c.left), _REL_KEY[c.rel], _term_key(c.right))
     if isinstance(c, SkolemDef):
         return (4, c.skolem, _term_key(c.term))
     return (5, c.new, c.old, c.delta)

@@ -18,6 +18,7 @@ import pytest
 from bsrsat.corpus import (bd_instances, detectable_flips, flipped_descriptor,
                            ground_systems, slr_instances, timed_instances)
 from bsrsat.decide import decide, enumerate_preorders, naive_decide, verify_model
+from bsrsat.linarith import solve_ground
 from bsrsat.normalize import normalize
 from bsrsat.parser import parse_ta
 from bsrsat.ramsey import (ColoringOracle, check_mono_ascending,
@@ -246,7 +247,7 @@ _NUMPY_OPS = {Relation.LE: np.less_equal, Relation.LT: np.less,
 def _grid_satisfiable(system, box: int = 2) -> bool:
     """Exhaustive 1/16-grid check; every constant is dyadic, so float
     arithmetic is exact here."""
-    names = system.variables
+    names = sorted({n for l, _, r in system.constraints for n in l.skolems() | r.skolems()})
     axis = np.arange(-box * 16, box * 16 + 1, dtype=np.float64) / 16.0
     grids = dict(zip(names, np.meshgrid(*([axis] * len(names)),
                                         indexing="ij", sparse=True)))
@@ -263,7 +264,7 @@ def _grid_satisfiable(system, box: int = 2) -> bool:
 def test_criterion_8_ground_solver_completeness():
     systems = ground_systems(0, 200)
     for system in systems:
-        witness = system.solve()
+        witness = solve_ground(system)
         assert (witness is not None) == _grid_satisfiable(system)
         if witness is not None:
             assert all(rel.holds(l.evaluate(witness), r.evaluate(witness))

@@ -15,10 +15,14 @@ from bsrsat.decide import (
     _candidates,
     _contexts,
     _ground_clause,
+    _gterm,
+    _preorder_gamma,
     decide,
+    enumerate_preorders,
     naive_decide,
     verify_model,
 )
+from bsrsat.linarith import GroundSystem, solve_ground
 from bsrsat.normalize import normalize
 from bsrsat.parser import parse_clause_set
 from bsrsat.report import (
@@ -28,7 +32,7 @@ from bsrsat.report import (
     SolveStats,
     emit_result,
 )
-from bsrsat.terms import Clause, Equation, FreeTerm, PredAtom, VarConst
+from bsrsat.terms import Clause, Equation, FreeTerm, GroundTerm, PredAtom, Relation, VarConst
 
 
 def run(text):
@@ -449,3 +453,48 @@ def test_emit_zero_filled_stats():
 def test_emit_rejects_unknown_format():
     with pytest.raises(ValueError):
         emit_result(ResultReport(STATUS_UNSAT), "json")
+
+
+# --- preorder witnesses -----------------------------------------------------
+
+
+def _all_pairs_gamma(pre, defs, skolems):
+    """Reference witness: one constraint per ordered pair of elements
+    (<= within a block, < across blocks), skipping pairs of rationals."""
+    sys = GroundSystem(list(defs))
+    for bi, block in enumerate(pre):
+        for bj in range(bi, len(pre)):
+            for c in block:
+                for c2 in pre[bj]:
+                    if c == c2 or (isinstance(c, Fraction) and isinstance(c2, Fraction)):
+                        continue
+                    rel = Relation.LE if bi == bj else Relation.LT
+                    sys.add(_gterm(c), rel, _gterm(c2))
+    return solve_ground(sys, names=list(skolems))
+
+
+def test_chain_preorder_witness_matches_all_pairs(monkeypatch):
+    sizes = []
+
+    def recording_solve(sys, names=()):
+        sizes.append(len(sys.constraints))
+        return solve_ground(sys, names)
+
+    monkeypatch.setattr(decide_mod, "solve_ground", recording_solve)
+    checked = feasible = 0
+    for n in (1, 2, 3):
+        skolems = [f"s{i}" for i in range(n)]
+        # definitions that pin s0 to 0 or to 1/3, or force s0 = s_last = 0
+        # when the two share a block: strict and weak orders then differ
+        pins = [GroundTerm.make(0, {skolems[-1]: 2}), GroundTerm.constant(Fraction(1, 3))]
+        for rats in ((), (Fraction(0),), (Fraction(0), Fraction(1, 3))):
+            for defs in ([], *([(GroundTerm.skolem("s0"), Relation.EQ, t)] for t in pins)):
+                for pre in enumerate_preorders(skolems, rats):
+                    sizes.clear()
+                    gamma = _preorder_gamma(pre, defs, skolems)
+                    assert gamma == _all_pairs_gamma(pre, defs, skolems), (pre, defs)
+                    # a chain: at most one constraint per neighbouring pair
+                    assert sizes[0] <= len(defs) + n + len(rats) - 1
+                    checked += 1
+                    feasible += gamma is not None
+    assert checked > 100 and 0 < feasible < checked

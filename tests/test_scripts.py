@@ -26,8 +26,7 @@ RUNS = [
 FAILURE_MARKS = ("BROKEN", "MISMATCH", "DISAGREE")
 
 
-@pytest.mark.parametrize("argv", RUNS, ids=" ".join)
-def test_script_runs_clean(argv):
+def run_script(argv) -> list[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -37,6 +36,17 @@ def test_script_runs_clean(argv):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    lines = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=" ".join)
+def test_script_runs_clean(argv):
+    lines = run_script(argv)
     assert len(lines) > 1
     assert not [line for line in lines if any(m in line for m in FAILURE_MARKS)]
+
+
+def test_stream_digest_prints_normal_digest():
+    lines = run_script(["stream_digest.py", "--bsr", "2", "--timed", "0"])
+    normal = [line.split() for line in lines if line.startswith("normal ")]
+    assert len(normal) == 1 and normal[0][1] == "2" and len(normal[0][-1]) == 64
