@@ -31,7 +31,7 @@ import sys
 import time
 
 from bsrsat.corpus import _raw_bd, _raw_slr, timed_instances
-from bsrsat.decide import _contexts, _premise, decide
+from bsrsat.decide import _contexts, _plan, decide
 from bsrsat.normalize import normalize
 from bsrsat.parser import print_clause_set
 from bsrsat.report import SolveStats, emit_result
@@ -51,13 +51,13 @@ def timed_sets(count: int):
 
 
 def _stream(ctx, cl, bounds_only: bool) -> list:
-    premise = _premise(ctx, cl)
-    if premise is None:
+    plan = _plan(ctx, cl)
+    if plan is None:
         return []
-    bvars, vidx, checks = premise
+    checks = plan.checks
     if bounds_only:
-        checks = ctx.checks([c for c in cl.lam if isinstance(c, VarConst)], vidx)
-    return list(ctx.classes(len(bvars), checks))
+        checks = ctx.checks([c for c in cl.lam if isinstance(c, VarConst)], plan.vidx)
+    return list(ctx.classes(len(plan.bvars), checks))
 
 
 def digest(sets) -> tuple[int, int, int, int, str]:

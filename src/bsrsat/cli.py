@@ -195,10 +195,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="decide satisfiability of a clause file")
     p.add_argument("file")
     p.add_argument("--output", choices=OUTPUTS, default="human")
-    p.add_argument("--max-candidates", type=int, default=None, metavar="N")
+    p.add_argument("--max-candidates", type=_int_at_least(0), default=None, metavar="N")
     p.add_argument("--naive", action="store_true",
                    help="use the naive uniform-interpretation enumerator")
-    p.add_argument("--atom-budget", type=int, default=16, metavar="N",
+    p.add_argument("--atom-budget", type=_int_at_least(0), default=16, metavar="N",
                    help="atom limit for --naive")
     p.set_defaults(fn=_cmd_decide)
 

@@ -9,6 +9,12 @@ arguments, region class), found by reduction to propositional
 satisfiability; a candidate that solves the propositional instance is
 re-verified semantically on class representatives before SAT is reported.
 
+Each clause is read once per context into a plan (``_plan``): its
+compiled premise, its equations and its predicate atoms.  Grounding,
+instantiation and re-verification all work from plans, and ``_cases``
+resolves a plan's atoms for every free assignment that no equation
+settles.
+
 All choice points are iterated in a fixed order, so verdicts, models and
 statistics are deterministic.
 """
@@ -20,7 +26,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .linarith import GroundSystem, solve_ground
 from .normalize import validate_normal_form
@@ -80,9 +86,11 @@ class NaiveBudgetError(RuntimeError):
     """The naive table enumerator would exceed its atom budget."""
 
 
-@dataclass(frozen=True)
-class PropAtom:
-    """One bit of a uniform interpretation: P on a free tuple and a class."""
+class PropAtom(NamedTuple):
+    """One bit of a uniform interpretation: P on a free tuple and a class.
+
+    A tuple: it equals and hashes as the plain ``(pred, free_args, cls)``.
+    """
 
     pred: str
     free_args: tuple[str, ...]
@@ -132,8 +140,8 @@ class _Context:
     """One fully fixed arithmetic side: mode plus gamma plus kappa/partition.
 
     Class streams are generated afresh on every request and kept by no
-    one: the checks that prune them (a clause's compiled premise,
-    ``_premise``) differ from clause to clause, so a stream is rarely asked
+    one: the checks that prune them (a clause's compiled premise, in its
+    ``_plan``) differ from clause to clause, so a stream is rarely asked
     for twice.  Only the naive oracle asks for the full stream (no checks).
     ``rep`` and ``classify`` work on rationals, for legends and the naive
     oracle; ``scaled`` gives ``verify_model`` their integer forms.
@@ -189,15 +197,20 @@ def _kappa_of(cs: ClauseSet) -> int:
 # --- clause grounding -------------------------------------------------------
 
 
-@dataclass
-class _GClause:
-    """A clause reduced to its candidate-independent propositional shape."""
+class _Plan(NamedTuple):
+    """A clause read in one context: its base variables and their indices,
+    the compiled checks of its variable premise conjuncts, its free
+    variables, the equations of its premise and of its conclusion, and its
+    predicate atoms as (positive, pred, free terms, base indices), premise
+    atoms first."""
 
+    bvars: tuple[str, ...]
+    vidx: dict[str, int]
+    checks: list[tuple]
     free_vars: tuple[str, ...]
     eq_neg: tuple[Equation, ...]
     eq_pos: tuple[Equation, ...]
-    skeletons: tuple[tuple[int, str, tuple[FreeTerm, ...]], ...]
-    rows: list[tuple]  # per surviving class: selected class per skeleton
+    atoms: tuple[tuple[bool, str, tuple[FreeTerm, ...], tuple[int, ...]], ...]
 
 
 def _class_ok(cls, checks) -> bool:
@@ -206,96 +219,97 @@ def _class_ok(cls, checks) -> bool:
     return all(check_holds(ch, cells) for ch in checks)
 
 
-def _premise(ctx: _Context, cl):
-    """A clause's arithmetic premise in context: (base variables, their
-    indices, the compiled checks on the variable conjuncts), or None when
-    a ground conjunct is false, so that the clause holds everywhere."""
-    for c in cl.lam:
-        if isinstance(c, DeltaEq):
-            raise FragmentError("delay equations must be lowered before deciding")
-    for c in cl.lam:
-        if isinstance(c, (GroundCmp, SkolemDef)):
-            if not eval_constraint(c, {}, ctx.gamma):
-                return None
-    var_cons = [c for c in cl.lam if not isinstance(c, (GroundCmp, SkolemDef))]
+def _plan(ctx: _Context, cl) -> _Plan | None:
+    """The plan of a clause in context, or None when a ground premise
+    conjunct is false, so that the clause holds everywhere."""
+    if any(isinstance(c, DeltaEq) for c in cl.lam):
+        raise FragmentError("delay equations must be lowered before deciding")
+    ground = (GroundCmp, SkolemDef)
+    if not all(eval_constraint(c, {}, ctx.gamma) for c in cl.lam if isinstance(c, ground)):
+        return None
     bvars = cl.base_vars()
     vidx = {v: i for i, v in enumerate(bvars)}
-    return bvars, vidx, ctx.checks(var_cons, vidx)
+    checks = ctx.checks([c for c in cl.lam if not isinstance(c, ground)], vidx)
+    atoms = tuple(
+        (positive, a.pred, a.free_args, tuple(vidx[v] for v in a.base_args))
+        for positive, part in ((False, cl.gamma), (True, cl.delta))
+        for a in part
+        if not isinstance(a, Equation)
+    )
+    return _Plan(
+        bvars,
+        vidx,
+        checks,
+        cl.free_vars(),
+        tuple(a for a in cl.gamma if isinstance(a, Equation)),
+        tuple(a for a in cl.delta if isinstance(a, Equation)),
+        atoms,
+    )
 
 
-def _ground_clause(ctx: _Context, cl, stats: SolveStats) -> _GClause | None:
-    """Candidate-independent grounding; None when the clause can never
-    constrain a candidate (a ground premise conjunct is false, or no
-    region class satisfies the variable premise).
+def _cases(plan: _Plan, domain, assign) -> list[list[tuple]]:
+    """For each assignment of the free variables into the domain that no
+    equation settles (a premise equation false or a conclusion equation
+    true would make the clause hold outright), every atom of the plan as
+    (positive, pred, free args)."""
+    out = []
+    for env_vals in itertools.product(domain, repeat=len(plan.free_vars)):
+        env = dict(zip(plan.free_vars, env_vals))
+
+        def res(t: FreeTerm) -> str:
+            return assign[t.name] if t.is_const else env[t.name]
+
+        if any(res(e.left) != res(e.right) for e in plan.eq_neg):
+            continue
+        if any(res(e.left) == res(e.right) for e in plan.eq_pos):
+            continue
+        out.append([(positive, pred, tuple(res(t) for t in fts))
+                    for positive, pred, fts, _ in plan.atoms])
+    return out
+
+
+def _ground_clause(ctx: _Context, cl, stats: SolveStats) -> tuple[_Plan, list] | None:
+    """Candidate-independent grounding: (plan, rows), a row per distinct
+    tuple of the classes that a surviving class selects for the plan's
+    atoms; None when the clause can never constrain a candidate (a ground
+    premise conjunct is false, or no region class satisfies the variable
+    premise).
 
     The class stream is pruned by all premise checks; ``_class_ok`` still
     judges every class it yields.
     """
-    premise = _premise(ctx, cl)
-    if premise is None:
+    plan = _plan(ctx, cl)
+    if plan is None:
         return None
-    bvars, vidx, checks = premise
-    stream = list(ctx.classes(len(bvars), checks))
+    stream = list(ctx.classes(len(plan.bvars), plan.checks))
     stats.classes += len(stream)
-    survivors = [cls for cls in stream if _class_ok(cls, checks)]
+    survivors = [cls for cls in stream if _class_ok(cls, plan.checks)]
     if not survivors:
         return None
-    eq_neg, eq_pos, skel = [], [], []
-    for sign, part in ((-1, cl.gamma), (1, cl.delta)):
-        for a in part:
-            if isinstance(a, Equation):
-                (eq_neg if sign < 0 else eq_pos).append(a)
-            else:
-                skel.append(
-                    (sign, a.pred, a.free_args, tuple(vidx[v] for v in a.base_args))
-                )
     # One object per distinct selected class, shared by all rows: there are
     # far fewer of them than rows, and the rows live as long as the context.
     shared: dict = {}
     rows = dict.fromkeys(
-        tuple(shared.setdefault(sc, sc) for sc in (select_class(cls, s[3]) for s in skel))
+        tuple(shared.setdefault(sc, sc)
+              for sc in (select_class(cls, a[3]) for a in plan.atoms))
         for cls in survivors
     )
-    return _GClause(
-        cl.free_vars(),
-        tuple(eq_neg),
-        tuple(eq_pos),
-        tuple((s, p, f) for s, p, f, _ in skel),
-        list(rows),
-    )
+    return plan, list(rows)
 
 
-def _open_assignments(free_vars, eq_neg, eq_pos, domain, assign):
-    """Term resolvers, one per assignment of the free variables into the
-    domain that no equation settles (a premise equation false or a
-    conclusion equation true would make the clause hold outright)."""
-    for env_vals in itertools.product(domain, repeat=len(free_vars)):
-        env = dict(zip(free_vars, env_vals))
-
-        def res(t: FreeTerm, env=env) -> str:
-            return assign[t.name] if t.is_const else env[t.name]
-
-        if any(res(e.left) != res(e.right) for e in eq_neg):
-            continue
-        if any(res(e.left) == res(e.right) for e in eq_pos):
-            continue
-        yield res
-
-
-def _instantiate(gclauses, domain, assign):
-    """Propositional instance for one candidate (domain, assignment)."""
-    atom_ids: dict[PropAtom, int] = {}
+def _instantiate(grounded, domain, assign):
+    """Propositional instance for one candidate (domain, assignment), and
+    the variable of each (pred, free args, class) atom."""
+    atom_ids: dict[tuple, int] = {}
     clauses: list[tuple[int, ...]] = []
     seen: set[frozenset[int]] = set()
-    for g in gclauses:
-        for res in _open_assignments(g.free_vars, g.eq_neg, g.eq_pos, domain, assign):
-            resolved = [tuple(res(t) for t in fts) for _, _, fts in g.skeletons]
-            for row in g.rows:
+    for plan, rows in grounded:
+        for case in _cases(plan, domain, assign):
+            for row in rows:
                 lits = []
-                for (sign, pred, _), fa, scls in zip(g.skeletons, resolved, row):
-                    atom = PropAtom(pred, fa, scls)
-                    vid = atom_ids.setdefault(atom, len(atom_ids) + 1)
-                    lits.append(sign * vid)
+                for (positive, pred, fa), scls in zip(case, row):
+                    vid = atom_ids.setdefault((pred, fa, scls), len(atom_ids) + 1)
+                    lits.append(vid if positive else -vid)
                 key = frozenset(lits)
                 if any(-l in key for l in key):
                     continue
@@ -476,24 +490,21 @@ def decide(
 def _decide_inner(cs, stats, counters, max_candidates) -> ResultReport:
     validate_normal_form(cs)
     for ctx in _contexts(cs, stats):
-        gclauses = []
-        for cl in cs.clauses:
-            g = _ground_clause(ctx, cl, stats)
-            if g is not None:
-                gclauses.append(g)
+        grounded = [g for g in (_ground_clause(ctx, cl, stats) for cl in cs.clauses)
+                    if g is not None]
         for domain, assign in _candidates(cs.fconsts):
             stats.candidates += 1
             if max_candidates is not None and stats.candidates > max_candidates:
                 raise ResourceLimitError(
                     f"candidate limit exceeded ({max_candidates})", stats
                 )
-            inst, atom_ids = _instantiate(gclauses, domain, assign)
+            inst, atom_ids = _instantiate(grounded, domain, assign)
             stats.prop_vars += inst.n_vars
             stats.prop_clauses += len(inst.clauses)
             model = _dpll(inst, counters)
             if model is None:
                 continue
-            table = {atom: model[vid] for atom, vid in atom_ids.items()}
+            table = {PropAtom._make(atom): model[vid] for atom, vid in atom_ids.items()}
             desc = _descriptor_from_table(ctx, domain, assign, table)
             if not verify_model(cs, desc):
                 raise RuntimeError(
@@ -510,7 +521,7 @@ def verify_model(cs: ClauseSet, desc: InterpretationDescriptor) -> bool:
     A clause's class stream is pruned by all its premise checks: every
     member of a skipped class falsifies a premise constraint, so the
     clause holds there.  The free assignments that no equation settles are
-    listed once per clause.  Each streamed class is judged once, on
+    listed once per clause (``_cases``).  Each streamed class is judged once, on
     integers: its representative, as numerators over the clause's one
     denominator (``_Context.scaled``), must satisfy every variable conjunct
     of the premise, its constants scaled once per clause
@@ -520,33 +531,17 @@ def verify_model(cs: ClauseSet, desc: InterpretationDescriptor) -> bool:
     rationals stay in ``gamma`` and in the model's legend.
     """
     ctx = _Context(desc.mode, desc.gamma, kappa=desc.kappa, partition=desc.partition)
-    table = {(a.pred, a.free_args, a.cls): bit for a, bit in desc.table.items()}
     for cl in cs.clauses:
-        premise = _premise(ctx, cl)
-        if premise is None:
+        plan = _plan(ctx, cl)
+        if plan is None:
             continue
-        bvars, vidx, checks = premise
-        eq_neg = [a for a in cl.gamma if isinstance(a, Equation)]
-        eq_pos = [a for a in cl.delta if isinstance(a, Equation)]
-        atoms = [
-            (positive, a)
-            for positive, part in ((False, cl.gamma), (True, cl.delta))
-            for a in part
-            if not isinstance(a, Equation)
-        ]
-        cases = [
-            [(positive, a.pred, tuple(res(t) for t in a.free_args),
-              tuple(vidx[v] for v in a.base_args))
-             for positive, a in atoms]
-            for res in _open_assignments(
-                cl.free_vars(), eq_neg, eq_pos, desc.domain, desc.fconst_assign
-            )
-        ]
+        cases = _cases(plan, desc.domain, desc.fconst_assign)
         if not cases:
             continue
-        d, rep, classify = ctx.scaled(len(bvars))
-        scaled = _scaled_premise(ctx, cl.lam, vidx, d)
-        for cls in ctx.classes(len(bvars), checks):
+        idxs = [a[3] for a in plan.atoms]
+        d, rep, classify = ctx.scaled(len(plan.bvars))
+        scaled = _scaled_premise(ctx, cl.lam, plan.vidx, d)
+        for cls in ctx.classes(len(plan.bvars), plan.checks):
             nums = rep(cls)
             if not all(
                 rel.holds(nums[i] if j is None else nums[i] - nums[j], k)
@@ -555,11 +550,11 @@ def verify_model(cs: ClauseSet, desc: InterpretationDescriptor) -> bool:
                 continue
             projected: dict[tuple[int, ...], object] = {}
             for case in cases:
-                for positive, pred, free_args, idxs in case:
-                    pcls = projected.get(idxs)
+                for (positive, pred, free_args), idx in zip(case, idxs):
+                    pcls = projected.get(idx)
                     if pcls is None:
-                        pcls = projected[idxs] = classify(tuple(nums[i] for i in idxs))
-                    if table.get((pred, free_args, pcls), False) == positive:
+                        pcls = projected[idx] = classify(tuple(nums[i] for i in idx))
+                    if desc.table.get((pred, free_args, pcls), False) == positive:
                         break  # a premise atom is false or a conclusion atom true
                 else:
                     return False
@@ -570,7 +565,7 @@ def _scaled_premise(ctx: _Context, lam, vidx, d: int) -> list[tuple]:
     """The variable conjuncts of a premise as (rel, i, j, k) for
     x_i - x_j rel k on numerators over ``d``: j is None for a bound and k
     is 0 for var-var.  Ground conjuncts are settled per clause
-    (``_premise``)."""
+    (``_plan``)."""
     out = []
     for c in lam:
         if isinstance(c, VarConst):

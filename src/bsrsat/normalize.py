@@ -134,10 +134,7 @@ def eliminate_constraint_only_vars(cs: ClauseSet) -> ClauseSet:
     clauses: list[Clause] = []
     for cl in cs.clauses:
         clauses.extend(_eliminate_clause(cl, cs.mode))
-    deduped: list[Clause] = []
-    for cl in clauses:
-        if cl not in deduped:
-            deduped.append(cl)
+    deduped = list(dict.fromkeys(clauses))
     return ClauseSet(cs.mode, deduped, dict(cs.signature), list(cs.fconsts), list(cs.skolems))
 
 

@@ -241,11 +241,6 @@ class PartitionJ:
     def is_point_interval(self, idx: int) -> bool:
         return idx % 2 == 1
 
-    def point_value(self, idx: int) -> Fraction:
-        if not self.is_point_interval(idx):
-            raise RegionRangeError(f"interval {idx} is not a point interval")
-        return self.points[idx // 2]
-
     def point_interval_index(self, value: RationalLike) -> int:
         idx = self.interval_of(value)
         if not self.is_point_interval(idx):
@@ -447,7 +442,9 @@ def enumerate_bd_unbounded(
     placed before it.  That decides every check between in-range
     coordinates but ``!=``, which ``check_holds`` decides once both floors
     are placed; it decides a var-var check over a coordinate beyond +/-kappa
-    once the value order there is chosen.  Guards are static: a difference check between coordinates that their
+    once the value order there is chosen.
+
+    Guards are static: a difference check between coordinates that their
     constant bounds do not hold within +/-kappa raises ``FragmentError``
     before the first class.
     """

@@ -37,13 +37,6 @@ def rat(x: RationalLike) -> Fraction:
     return Fraction(x)
 
 
-def floor_fr(r: RationalLike) -> tuple[int, Fraction]:
-    """Split r into (floor(r), fractional part), with fr(r) in [0, 1)."""
-    r = rat(r)
-    fl = r.numerator // r.denominator
-    return fl, r - fl
-
-
 class Relation(enum.Enum):
     LT = "<"
     LE = "<="
@@ -121,12 +114,6 @@ class GroundTerm:
         """A bare rational literal or a bare Skolem constant."""
         return self.is_rational or self.is_skolem
 
-    @property
-    def skolem_name(self) -> str:
-        if not self.is_skolem:
-            raise ValueError(f"{self} is not a bare Skolem constant")
-        return self.coeffs[0][0]
-
     def skolems(self) -> frozenset[str]:
         return frozenset(n for n, _ in self.coeffs)
 
@@ -137,12 +124,6 @@ class GroundTerm:
                 raise UnboundSymbolError(f"Skolem constant {name!r} has no value")
             v += c * gamma[name]
         return v
-
-    def add(self, other: "GroundTerm") -> "GroundTerm":
-        d = dict(self.coeffs)
-        for n, c in other.coeffs:
-            d[n] = d.get(n, Fraction(0)) + c
-        return GroundTerm.make(self.offset + other.offset, d)
 
     def scale(self, k: RationalLike) -> "GroundTerm":
         k = rat(k)

@@ -88,6 +88,17 @@ class TestDecideCommand:
         assert out.startswith("status: error")
         assert "stat candidates: 2" in out
 
+    def test_zero_budgets_stop_at_the_first_need(self, files, capsys):
+        rc, out, _ = run_cli(capsys, "decide", files["sat.cl"],
+                             "--max-candidates", "0", "--output", "structured")
+        assert rc == 1
+        assert out.startswith("status: error\nerror: candidate limit exceeded (0)\n")
+        assert "stat candidates: 1" in out
+        rc, out, _ = run_cli(capsys, "decide", files["sat.cl"], "--naive",
+                             "--atom-budget", "0", "--output", "structured")
+        assert rc == 1
+        assert out.startswith("status: error\nerror: naive oracle needs 1 atoms, budget 0\n")
+
     def test_naive_agrees(self, files, capsys):
         rc, fast, _ = run_cli(capsys, "decide", files["unsat.cl"],
                               "--output", "structured")
@@ -221,6 +232,8 @@ class TestUsageErrors:
         ("regions", "--mode", "bd", "--arity", "1", "--kappa", "-1"),
         ("ta", "reach", "lock.ta", "--goal", "b", "--lam", "0"),
         ("ta", "encode", "lock.ta", "--goal", "b", "--lam", "0"),
+        ("decide", "sat.cl", "--max-candidates", "-1"),
+        ("decide", "sat.cl", "--naive", "--atom-budget", "-1"),
     ])
     def test_bad_numeric_argument(self, files, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -108,9 +108,9 @@ def test_grounded_rows_share_equal_selected_classes():
         "clause [x >= 0; x <= 2; y >= 0; y <= 2] [] -> [P(a, x); P(a, y)]\n"
     ))
     (ctx,) = _contexts(n, SolveStats())
-    g = _ground_clause(ctx, n.clauses[0], SolveStats())
-    picked = [c for row in g.rows for c in row]
-    assert len(g.rows) == 25
+    _, rows = _ground_clause(ctx, n.clauses[0], SolveStats())
+    picked = [c for row in rows for c in row]
+    assert len(rows) == 25
     assert len({id(c) for c in picked}) == len(set(picked)) == 5
 
 

@@ -7,20 +7,23 @@ that a change shows as a readable diff.  ``decide --output structured`` is
 pinned for satisfiable clause sets in both modes, without the
 ``stat wall ms`` line; these fix the model table and the legend numbering.
 The class streams ``decide`` grounds the timed encodings with are pinned by
-SHA-256 too: their order drives DPLL and so the model it reports.
+SHA-256 too: their order drives DPLL and so the model it reports.  So is
+the whole ``decide`` report, without ``stat wall ms``, on a slice of both
+corpora of ``scripts/stream_digest.py --decide``.
 """
 
 import contextlib
 import hashlib
 import io
+import random
 
 import pytest
 
 from bsrsat.cli import main
-from bsrsat.corpus import timed_instances
-from bsrsat.decide import _contexts, _premise
+from bsrsat.corpus import _raw_bd, _raw_slr, timed_instances
+from bsrsat.decide import _contexts, _plan, decide
 from bsrsat.normalize import normalize
-from bsrsat.report import SolveStats
+from bsrsat.report import SolveStats, emit_result
 from bsrsat.timed import default_lambda, encode_reachability
 
 
@@ -444,6 +447,13 @@ class#30 rep: (3, 2)
 # streamed with all of its premise checks, as ``decide`` grounds it.
 TIMED_STREAMS = (242, 6141, "eeed82641456bd861903a0f5faef445a8564e803a9c47fdbe0d0f00659b39c38")
 
+# The structured ``decide`` report, without ``stat wall ms``, of the first
+# 109 draws of random.Random(1706), alternating _raw_bd and _raw_slr, then
+# of the encodings of timed_instances(0, 4): the ``decide`` digest of
+# ``stream_digest.py --decide --bsr 109 --timed 4``.  Draws 34, 56 and 108
+# are bd sets with a clause of five base variables.
+DECIDE_DIGEST = (113, "41f2f48c02b85b2a1fe2fd1b053f5957412c498c4a6b62686502812ffb0a00f6")
+
 
 @pytest.mark.parametrize("argv,want", SMALL_CASES)
 def test_regions_small_cases_verbatim(argv, want):
@@ -473,13 +483,28 @@ def test_timed_premise_streams_digest():
         cs = normalize(encode_reachability(aut, goal, default_lambda(aut, goal)))
         for ctx in _contexts(cs, SolveStats()):
             for cl in cs.clauses:
-                premise = _premise(ctx, cl)
+                plan = _plan(ctx, cl)
                 h.update(b"clause\n")
-                if premise is None:
+                if plan is None:
                     continue
-                bvars, _, checks = premise
                 streams += 1
-                for cls in ctx.classes(len(bvars), checks):
+                for cls in ctx.classes(len(plan.bvars), plan.checks):
                     classes += 1
                     h.update(repr(cls.cells).encode() + b"\n")
     assert (streams, classes, h.hexdigest()) == TIMED_STREAMS
+
+
+def test_decide_report_digest():
+    rng = random.Random(1706)
+    sets = [normalize((_raw_bd if i % 2 == 0 else _raw_slr)(rng)) for i in range(109)]
+    sets += [
+        normalize(encode_reachability(aut, goal, default_lambda(aut, goal)))
+        for aut, goal in timed_instances(0, 4)
+    ]
+    h = hashlib.sha256()
+    for si, cs in enumerate(sets):
+        h.update(f"{si}\n".encode())
+        for line in emit_result(decide(cs), "structured").splitlines(keepends=True):
+            if not line.startswith("stat wall ms:"):
+                h.update(line.encode())
+    assert (len(sets), h.hexdigest()) == DECIDE_DIGEST

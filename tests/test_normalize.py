@@ -206,7 +206,8 @@ def test_split_names_compound_bound():
     assert d.is_def_clause() and not core.is_def_clause()
     (vc,) = [c for c in core.lam if isinstance(c, VarConst)]
     assert vc.bound.is_skolem
-    assert d.lam[0] == SkolemDef(vc.bound.skolem_name, bound)
+    (name,) = vc.bound.skolems()
+    assert d.lam[0] == SkolemDef(name, bound)
 
 
 def test_split_shares_names_for_equal_terms():

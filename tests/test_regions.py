@@ -74,7 +74,6 @@ def test_interval_of_examples():
         assert P01.interval_of(Fraction(v) if isinstance(v, str) else Fraction(v)) == idx
     assert P01.is_point_interval(1) and P01.is_point_interval(3)
     assert not P01.is_point_interval(2)
-    assert P01.point_value(1) == 0
     assert P01.point_interval_index(Fraction(1)) == 3
 
 
@@ -387,11 +386,6 @@ def test_cells_compare_like_values(family):
 
 
 # --- typed errors -------------------------------------------------------------
-
-
-def test_point_value_of_an_open_interval_is_a_range_error():
-    with pytest.raises(RegionRangeError):
-        P01.point_value(2)
 
 
 def test_slr_representative_rejects_two_blocks_in_one_point():

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import bsrsat
+import bsrsat.decide as decide_mod
 
 SOURCES = sorted(p for d in bsrsat.__path__ for p in Path(d).glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,3 +78,27 @@ def test_no_unreferenced_methods_in_package():
     ]
     assert SOURCES
     assert found == []
+
+
+def test_tracer_names_are_called_by_decide():
+    # perfbench/tracing.py times decide's layers by swapping these globals of
+    # bsrsat.decide for wrappers; a name that decide no longer calls would
+    # silently drop its layer from the trace
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tracing.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("SPANNED", "STREAMS", "HOT")
+    }
+    names = {name for table in tables.values() for name in table}
+    decide_tree = ast.parse(Path(decide_mod.__file__).read_text(encoding="utf-8"))
+    called = {
+        node.func.id
+        for node in ast.walk(decide_tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    missing = sorted(n for n in names if n not in called or not hasattr(decide_mod, n))
+    assert sorted(tables) == ["HOT", "SPANNED", "STREAMS"]
+    assert missing == []
