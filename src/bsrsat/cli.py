@@ -14,8 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .decide import (NaiveBudgetError, ResourceLimitError, decide,
-                     naive_decide)
+from .decide import ResourceLimitError, decide, naive_decide
 from .normalize import NormalFormError, normalize
 from .parser import (ParseError, parse_clause_set, parse_goal, parse_ta,
                      print_clause_set)
@@ -65,10 +64,9 @@ def _cmd_decide(args) -> int:
             report = naive_decide(n, atom_budget=args.atom_budget)
         else:
             report = decide(n, max_candidates=args.max_candidates)
-    except (ResourceLimitError, NaiveBudgetError) as err:
-        stats = getattr(err, "stats", None)
+    except ResourceLimitError as err:
         report = ResultReport(STATUS_ERROR, detail=str(err),
-                              **({"stats": stats} if stats else {}))
+                              **({"stats": err.stats} if err.stats else {}))
     sys.stdout.write(emit_result(report, args.output))
     return 1 if report.status == STATUS_ERROR else 0
 

@@ -75,14 +75,15 @@ from .terms import (
 
 
 class ResourceLimitError(RuntimeError):
-    """Candidate budget exhausted before a verdict; distinct from UNSAT."""
+    """A budget exhausted before a verdict, with the partial stats;
+    distinct from UNSAT."""
 
     def __init__(self, message: str, stats: SolveStats | None = None):
         super().__init__(message)
         self.stats = stats
 
 
-class NaiveBudgetError(RuntimeError):
+class NaiveBudgetError(ResourceLimitError):
     """The naive table enumerator would exceed its atom budget."""
 
 
@@ -140,9 +141,12 @@ class _Context:
     """One fully fixed arithmetic side: mode plus gamma plus kappa/partition.
 
     Class streams are generated afresh on every request and kept by no
-    one: the checks that prune them (a clause's compiled premise, in its
-    ``_plan``) differ from clause to clause, so a stream is rarely asked
-    for twice.  Only the naive oracle asks for the full stream (no checks).
+    one.  The checks that prune them (a clause's compiled premise, in its
+    ``_plan``) differ from clause to clause, but a SAT verdict asks for
+    streams twice: ``verify_model`` streams again, with the same checks,
+    each clause that grounding streamed in the verdict's context and that
+    some free assignment leaves open.  Those streams are not kept either.
+    Only the naive oracle asks for the full stream (no checks).
     ``rep`` and ``classify`` work on rationals, for legends and the naive
     oracle; ``scaled`` gives ``verify_model`` their integer forms.
     """
@@ -586,7 +590,8 @@ def naive_decide(cs: ClauseSet, *, atom_budget: int = 16) -> ResultReport:
     subset and every free-constant assignment into it, no propositional
     reduction, no class-stream restriction; clause truth comes from
     representative evaluation and classify-after-project.  Test oracle for
-    decide; raises NormalFormError as decide does."""
+    decide; raises NormalFormError as decide does, and NaiveBudgetError
+    once a candidate needs more than ``atom_budget`` atoms."""
     t0 = time.perf_counter()
     stats = SolveStats()
     validate_normal_form(cs)
@@ -603,7 +608,7 @@ def naive_decide(cs: ClauseSet, *, atom_budget: int = 16) -> ResultReport:
             )
             for domain, assign in candidates:
                 stats.candidates += 1
-                found = _naive_candidate(sem, domain, assign, atom_budget)
+                found = _naive_candidate(sem, domain, assign, atom_budget, stats)
                 if found is None:
                     continue
                 bits, t = found
@@ -648,7 +653,7 @@ def _semantic_clauses(ctx: _Context, cs: ClauseSet, stats: SolveStats):
     return out
 
 
-def _naive_candidate(sem, domain, assign, atom_budget):
+def _naive_candidate(sem, domain, assign, atom_budget, stats):
     """Exhaustive table search for one candidate; (bits, table) or None."""
     bits: dict[PropAtom, int] = {}
     masks: set[tuple[int, int]] = set()
@@ -670,7 +675,8 @@ def _naive_candidate(sem, domain, assign, atom_budget):
                     b = bits.setdefault(atom, len(bits))
                     if len(bits) > atom_budget:
                         raise NaiveBudgetError(
-                            f"naive oracle needs {len(bits)} atoms, budget {atom_budget}"
+                            f"naive oracle needs {len(bits)} atoms, budget {atom_budget}",
+                            stats,
                         )
                     if sign < 0:
                         neg |= 1 << b

@@ -8,14 +8,17 @@ the same cells:
 * slr (``FAMILY_SLR``): the cell of a coordinate is (block, interval).
   Block is the rank of its value among the distinct values of the tuple;
   interval is its interval in the partition induced by a finite point set.
-* bd bounded (``FAMILY_BD_BOUNDED``): over (-kappa-1, kappa+1)^k the cell is
-  (``BUCKET_IN``, floor, rank).  Rank is 0 for a vanishing fractional part
-  and then 1, 2, ... in ascending order of the positive fractional parts.
-* bd unbounded (``FAMILY_BD_UNBOUNDED``): over all of R^k.  In-range
-  coordinates, within [-kappa, kappa], have cells as in the bounded family.
-  A coordinate beyond +/-kappa only keeps its value order inside its
-  bucket: its cell is (``BUCKET_BELOW`` or ``BUCKET_ABOVE``, 0, rank), rank
-  0, 1, ... ascending.
+* bd unbounded (``FAMILY_BD_UNBOUNDED``): over all of R^k.  An in-range
+  coordinate, within [-kappa, kappa], has the cell (``BUCKET_IN``, floor,
+  rank).  Rank is 0 for a vanishing fractional part and then 1, 2, ... in
+  ascending order of the positive fractional parts.  A coordinate beyond
+  +/-kappa only keeps its value order inside its bucket: its cell is
+  (``BUCKET_BELOW`` or ``BUCKET_ABOVE``, 0, rank), rank 0, 1, ... ascending.
+* bd bounded (``FAMILY_BD_BOUNDED``): over (-kappa-1, kappa+1)^k.  It is
+  the unbounded equivalence at kappa + 1 restricted to that box, where
+  every coordinate is in range, so its cells are the in-range cells above.
+  ``enumerate_bd_bounded`` and ``class_of_bd_scaled`` work through the
+  unbounded family at kappa + 1 and tag the classes as bounded at kappa.
 
 Each class has a deterministic representative whose class is the class
 itself, and a selection operation: reindexing a tuple through ``idx`` maps
@@ -372,20 +375,21 @@ def class_of_bd_scaled(
     fractional part, and integers are ranked."""
     if kappa < 0:  # not _require_sizes: verify calls this once per projection
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
+    # a bounded tuple lies in (-kappa-1, kappa+1), where its class is the
+    # unbounded one at kappa + 1
+    edge = (kappa + 1 if bounded else kappa) * d
     if bounded:
-        lim = (kappa + 1) * d
         for n in nums:
-            if not -lim < n < lim:
+            if not -edge < n < edge:
                 raise RegionRangeError(
                     f"{Fraction(n, d)} outside (-{kappa + 1}, {kappa + 1}) "
                     "for the bounded classifier"
                 )
-    edge = kappa * d
     # per coordinate (bucket, floor, key), the key ranked within the bucket:
-    # in range the fractional part's numerator, beyond +/-kappa the value
+    # in range the fractional part's numerator, beyond the edge the value
     keys = []
     for n in nums:
-        if bounded or -edge <= n <= edge:
+        if -edge <= n <= edge:
             fl, fr = divmod(n, d)
             keys.append((BUCKET_IN, fl, fr))
         else:
@@ -407,22 +411,27 @@ def enumerate_bd_bounded(
     arity: int, kappa: int, floor_lo: int | None = None
 ) -> Iterator[RegionClass]:
     """All bounded classes, deterministically: fr-zero flags, fractional
-    order, then floors.  ``floor_lo`` drops the classes with a floor below
-    it (0 keeps the clock box [0, kappa+1)^arity)."""
+    order, then floors.
+
+    The bounded equivalence over (-kappa-1, kappa+1)^arity is the unbounded
+    one at kappa + 1 restricted to that box, so this is
+    ``enumerate_bd_unbounded(arity, kappa + 1)`` pruned by the box bounds
+    -kappa-1 < x < kappa+1 on every coordinate, each class relabelled as
+    bounded at kappa.  Every coordinate is in range there, so the unbounded
+    order reduces to the one above.  ``floor_lo``, at most kappa + 1 in
+    absolute value, adds the bound x >= floor_lo, which drops the classes
+    with a floor below it (0 keeps the clock box [0, kappa+1)^arity).
+    """
     _require_sizes(arity, kappa)
-    lo = -kappa - 1 if floor_lo is None else floor_lo
-    coords = tuple(range(arity))
-    for zero in _subsets(coords):
-        ranges = [range(max(-kappa if c in zero else -kappa - 1, lo), kappa + 1) for c in coords]
-        nonzero = tuple(c for c in coords if c not in zero)
-        for part in ordered_set_partitions(nonzero):
-            ranks = [0] * arity
-            for rank, block in enumerate(part, start=1):
-                for c in block:
-                    ranks[c] = rank
-            options = [[(BUCKET_IN, f, ranks[c]) for f in ranges[c]] for c in coords]
-            for cells in itertools.product(*options):
-                yield RegionClass(cells, FAMILY_BD_BOUNDED, kappa)
+    box = [
+        ("bd_const", rel, c, k)
+        for c in range(arity)
+        for rel, k in ((Relation.GT, -kappa - 1), (Relation.LT, kappa + 1))
+    ]
+    if floor_lo is not None:
+        box += [("bd_const", Relation.GE, c, floor_lo) for c in range(arity)]
+    for cls in enumerate_bd_unbounded(arity, kappa + 1, box):
+        yield RegionClass(cls.cells, FAMILY_BD_BOUNDED, kappa)
 
 
 def enumerate_bd_unbounded(
@@ -753,57 +762,6 @@ def representative_bd(cls: RegionClass) -> tuple[Fraction, ...]:
     else:
         d = cls.arity + 2
     return tuple(Fraction(n, d) for n in representative_bd_scaled(cls, d))
-
-
-def rho_sigma(cls: RegionClass) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-coordinate (fractional rank, floor) of a bounded class.
-
-    Any member tuple has coordinate i equal to r_{rho[i]} + sigma[i] for some
-    ascending ladder 0 = r_0 < r_1 < ... < r_m < 1, m = max(rho).
-    """
-    return tuple(r for _, _, r in cls.cells), tuple(f for _, f, _ in cls.cells)
-
-
-def apply_rho_sigma(
-    rho: Sequence[int], sigma: Sequence[int], fr_values: Sequence[RationalLike]
-) -> tuple[Fraction, ...]:
-    """Decode (rho, sigma) against a concrete fractional ladder.
-
-    ``fr_values`` lists r_0, ..., r_m; entry rho[i] supplies coordinate i's
-    fractional part, on top of floor sigma[i].
-    """
-    vals = [rat(v) for v in fr_values]
-    if not vals or vals[0] != 0:
-        raise RegionRangeError("fractional ladder must start at 0")
-    for a, b in zip(vals, vals[1:]):
-        if not a < b:
-            raise RegionRangeError("fractional ladder must ascend strictly")
-    if vals[-1] >= 1:
-        raise RegionRangeError("fractional ladder must stay below 1")
-    return tuple(vals[r] + s for r, s in zip(rho, sigma))
-
-
-def bounded_subclass(cls: RegionClass) -> RegionClass:
-    """Squeeze an unbounded class into (-kappa-1, kappa+1).
-
-    Below coordinates land in (-kappa-1, -kappa), Above coordinates in
-    (kappa, kappa+1).  Their fractional rungs come before all in-range
-    positive fractional parts, Below before Above, so value order within
-    each bucket is preserved and every member of the result belongs to
-    ``cls`` under the unbounded equivalence.
-    """
-    if cls.family != FAMILY_BD_UNBOUNDED:
-        raise ValueError(f"bounded_subclass needs an unbounded bd class, not {cls.family}")
-    below, above = _outer_block_counts(cls.cells)
-    cells = []
-    for bk, f, r in cls.cells:
-        if bk == BUCKET_BELOW:
-            cells.append((BUCKET_IN, -cls.kappa - 1, 1 + r))
-        elif bk == BUCKET_ABOVE:
-            cells.append((BUCKET_IN, cls.kappa, 1 + below + r))
-        else:
-            cells.append((BUCKET_IN, f, below + above + r if r else 0))
-    return RegionClass(tuple(cells), FAMILY_BD_BOUNDED, cls.kappa)
 
 
 # --- family-independent operations -----------------------------------------

@@ -21,8 +21,9 @@ class SolveStats:
 
     ``classes`` (the ``classes`` stat line) counts the region classes handed
     to grounding, summed over clauses.  ``decide`` streams only the classes
-    a clause's premise admits, so this is about the number of surviving
-    classes; ``naive_decide`` counts the full streams.
+    a clause's premise admits, and its premise filter passes every class
+    streamed, so this is exactly the number of surviving classes;
+    ``naive_decide`` counts the full streams.
     """
 
     preorders: int = 0

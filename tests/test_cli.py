@@ -98,6 +98,7 @@ class TestDecideCommand:
                              "--atom-budget", "0", "--output", "structured")
         assert rc == 1
         assert out.startswith("status: error\nerror: naive oracle needs 1 atoms, budget 0\n")
+        assert "stat candidates: 1" in out
 
     def test_naive_agrees(self, files, capsys):
         rc, fast, _ = run_cli(capsys, "decide", files["unsat.cl"],

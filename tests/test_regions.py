@@ -18,8 +18,6 @@ from bsrsat.regions import (
     PartitionJ,
     RegionClass,
     RegionRangeError,
-    apply_rho_sigma,
-    bounded_subclass,
     class_of_bd,
     class_of_bd_scaled,
     class_of_slr,
@@ -33,7 +31,6 @@ from bsrsat.regions import (
     representative_bd_scaled,
     representative_slr,
     representative_slr_scaled,
-    rho_sigma,
     select_class,
 )
 
@@ -124,6 +121,7 @@ def test_bd_bounded_census_frozen():
     assert len(list(enumerate_bd_bounded(1, 1))) == 7
     assert len(list(enumerate_bd_bounded(2, 1))) == 81
     assert len(list(enumerate_bd_bounded(3, 2))) == 5003
+    assert [len(list(enumerate_bd_bounded(a, 0))) for a in range(4)] == [1, 3, 17, 147]
 
 
 def test_bd_unbounded_census_frozen():
@@ -136,6 +134,11 @@ def test_bd_box_census_frozen():
     # clock-region count for two clocks confined to [0, 3)
     boxed = enumerate_bd_bounded(2, 2, floor_lo=0)
     assert len(list(boxed)) == 54
+    counts = {
+        kappa: [len(list(enumerate_bd_bounded(a, kappa, floor_lo=0))) for a in range(4)]
+        for kappa in (0, 3)
+    }
+    assert counts == {0: [1, 2, 6, 26], 3: [1, 8, 96, 1664]}
 
 
 def _assert_bd_scaled_round_trip(cls, rep, d, bounded):
@@ -147,7 +150,9 @@ def _assert_bd_scaled_round_trip(cls, rep, d, bounded):
         assert class_of_bd_scaled(nums, scaled_d, cls.kappa, bounded) == cls
 
 
-@pytest.mark.parametrize("arity,kappa", [(1, 1), (2, 1), (2, 2), (3, 1), (0, 1), (1, 2), (3, 2)])
+@pytest.mark.parametrize(
+    "arity,kappa", [(1, 1), (2, 1), (2, 2), (3, 1), (0, 1), (1, 2), (3, 2), (1, 0), (2, 0)]
+)
 def test_bd_bounded_round_trip_exhaustive(arity, kappa):
     for cls in enumerate_bd_bounded(arity, kappa):
         rep = representative_bd(cls)
@@ -157,7 +162,9 @@ def test_bd_bounded_round_trip_exhaustive(arity, kappa):
         _assert_bd_scaled_round_trip(cls, rep, d, bounded=True)
 
 
-@pytest.mark.parametrize("arity,kappa", [(1, 1), (2, 1), (3, 1), (0, 1), (1, 2), (2, 2), (3, 2)])
+@pytest.mark.parametrize(
+    "arity,kappa", [(1, 1), (2, 1), (3, 1), (0, 1), (1, 2), (2, 2), (3, 2), (1, 0), (2, 0)]
+)
 def test_bd_unbounded_round_trip_exhaustive(arity, kappa):
     for cls in enumerate_bd_unbounded(arity, kappa):
         rep = representative_bd(cls)
@@ -205,59 +212,6 @@ def test_bd_selection_commutes_with_classification(vals, data):
         cls = class_of_bd(vals, 1, bounded=bounded)
         picked = [vals[i] for i in idx]
         assert select_class(cls, idx) == class_of_bd(picked, 1, bounded=bounded)
-
-
-# --- rho/sigma encoding -----------------------------------------------------
-
-
-def test_rho_sigma_round_trip_all_classes():
-    for cls in enumerate_bd_bounded(2, 1):
-        rho, sigma = rho_sigma(cls)
-        m = max(rho, default=0)
-        ladder = [Fraction(j, m + 1) for j in range(m + 1)]
-        vals = apply_rho_sigma(rho, sigma, ladder)
-        assert class_of_bd(vals, 1, bounded=True) == cls
-
-
-def test_rho_sigma_example():
-    cls = class_of_bd([Fraction(1, 2), Fraction(-1), Fraction(1, 4)], 1, True)
-    rho, sigma = rho_sigma(cls)
-    assert sigma == (0, -1, 0)
-    assert rho == (2, 0, 1)  # 1/4 ranks below 1/2; -1 has zero fr
-
-
-def test_apply_rho_sigma_validates_ladder():
-    with pytest.raises(RegionRangeError):
-        apply_rho_sigma([0], [0], [Fraction(1, 2)])  # must start at 0
-    with pytest.raises(RegionRangeError):
-        apply_rho_sigma([0], [0], [Fraction(0), Fraction(0)])  # strict ascent
-    with pytest.raises(RegionRangeError):
-        apply_rho_sigma([1], [0], [Fraction(0), Fraction(1)])  # below 1
-
-
-def test_apply_rho_sigma_decodes():
-    vals = apply_rho_sigma(
-        [1, 0, 2], [0, 1, -1], [Fraction(0), Fraction(1, 3), Fraction(1, 2)]
-    )
-    assert vals == (Fraction(1, 3), Fraction(1), Fraction(-1, 2))
-
-
-# --- unbounded/bounded bridge -----------------------------------------------
-
-
-def test_bounded_subclass_members_stay_in_class():
-    for cls in enumerate_bd_unbounded(2, 1):
-        sub = bounded_subclass(cls)
-        assert sub.family == FAMILY_BD_BOUNDED
-        rep = representative_bd(sub)
-        assert all(-2 < v < 2 for v in rep)
-        assert class_of_bd(rep, 1, bounded=False) == cls
-
-
-def test_bounded_subclass_is_identity_inside_window():
-    vals = [Fraction(1, 2), Fraction(-1)]
-    unb = class_of_bd(vals, 1, bounded=False)
-    assert bounded_subclass(unb) == class_of_bd(vals, 1, bounded=True)
 
 
 # --- numerators over one denominator ---------------------------------------
@@ -393,11 +347,6 @@ def test_slr_representative_rejects_two_blocks_in_one_point():
     cls = RegionClass(((0, 1), (1, 1)), FAMILY_SLR)
     with pytest.raises(RegionRangeError):
         representative_slr(cls, P0)
-
-
-def test_bounded_subclass_needs_an_unbounded_class():
-    with pytest.raises(ValueError):
-        bounded_subclass(class_of_bd([Fraction(1, 2)], 1, bounded=True))
 
 
 def test_slr_representative_needs_the_partition():

@@ -80,6 +80,41 @@ def test_no_unreferenced_methods_in_package():
     assert found == []
 
 
+# Top-level names of the package that only tests read, and why they stay.
+TEST_SUPPORT = {
+    "check_assignment": "reference checker of propositional models",
+    "bd_instances": "test corpus of bd clause sets",
+    "slr_instances": "test corpus of slr clause sets",
+    "ground_systems": "test corpus of ground linear systems",
+    "delay_sets_equal_check": "the delay-set lemma: two characterizations of delay successors",
+    "mono_product": "the product form of the Ramsey construction",
+}
+
+
+def test_no_unreferenced_top_level_names_in_package():
+    # a top-level function or class that no program code reads has no
+    # caller, unless it is named in TEST_SUPPORT
+    read = set()
+    for path in READERS:
+        if path.is_relative_to(ROOT / "tests"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defs = [
+        (path.name, node.name)
+        for path in SOURCES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    found = [f"{m}:{n}" for m, n in defs if n not in read and n not in TEST_SUPPORT]
+    assert SOURCES
+    assert found == []
+    assert sorted(TEST_SUPPORT.keys() - {n for _, n in defs}) == []
+
+
 def test_tracer_names_are_called_by_decide():
     # perfbench/tracing.py times decide's layers by swapping these globals of
     # bsrsat.decide for wrappers; a name that decide no longer calls would
