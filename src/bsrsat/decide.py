@@ -13,7 +13,11 @@ Each clause is read once per context into a plan (``_plan``): its
 compiled premise, its equations and its predicate atoms.  Grounding,
 instantiation and re-verification all work from plans, and ``_cases``
 resolves a plan's atoms for every free assignment that no equation
-settles.
+settles.  Both grounding and re-verification work by projection: an atom
+reads only the class of its own base arguments, so grounding selects that
+class once per distinct tuple of picked cells, and re-verification streams
+each variable-disjoint component of a clause on its own and judges each
+distinct row of projected classes once.
 
 All choice points are iterated in a fixed order, so verdicts, models and
 statistics are deterministic.
@@ -70,6 +74,7 @@ from .terms import (
     SkolemDef,
     VarConst,
     VarVar,
+    constraint_vars,
     eval_constraint,
 )
 
@@ -142,11 +147,13 @@ class _Context:
 
     Class streams are generated afresh on every request and kept by no
     one.  The checks that prune them (a clause's compiled premise, in its
-    ``_plan``) differ from clause to clause, but a SAT verdict asks for
-    streams twice: ``verify_model`` streams again, with the same checks,
-    each clause that grounding streamed in the verdict's context and that
-    some free assignment leaves open.  Those streams are not kept either.
-    Only the naive oracle asks for the full stream (no checks).
+    ``_plan``) differ from clause to clause.  A SAT verdict asks for
+    streams twice: after grounding has streamed each clause whole in the
+    verdict's context, ``verify_model`` streams each variable-disjoint
+    component of every clause that some free assignment leaves open, over
+    the component's variables and pruned by its own checks.  Those streams
+    are not kept either.  Only the naive oracle asks for the full stream
+    (no checks).
     ``rep`` and ``classify`` work on rationals, for legends and the naive
     oracle; ``scaled`` gives ``verify_model`` their integer forms.
     """
@@ -279,25 +286,36 @@ def _ground_clause(ctx: _Context, cl, stats: SolveStats) -> tuple[_Plan, list] |
     premise conjunct is false, or no region class satisfies the variable
     premise).
 
-    The class stream is pruned by all premise checks; ``_class_ok`` still
-    judges every class it yields.
+    The class stream is pruned by all premise checks and read once;
+    ``_class_ok`` still judges every class it yields.  ``select_class``
+    reads nothing but the picked cells, and family and kappa are fixed per
+    stream, so it runs once per distinct tuple of picked cells.
     """
     plan = _plan(ctx, cl)
     if plan is None:
         return None
-    stream = list(ctx.classes(len(plan.bvars), plan.checks))
-    stats.classes += len(stream)
-    survivors = [cls for cls in stream if _class_ok(cls, plan.checks)]
-    if not survivors:
-        return None
+    idxs = [a[3] for a in plan.atoms]
+    selected: dict = {}
     # One object per distinct selected class, shared by all rows: there are
     # far fewer of them than rows, and the rows live as long as the context.
     shared: dict = {}
-    rows = dict.fromkeys(
-        tuple(shared.setdefault(sc, sc)
-              for sc in (select_class(cls, a[3]) for a in plan.atoms))
-        for cls in survivors
-    )
+    rows: dict = {}
+    for cls in ctx.classes(len(plan.bvars), plan.checks):
+        stats.classes += 1
+        if not _class_ok(cls, plan.checks):
+            continue
+        cells = cls.cells
+        row = []
+        for idx in idxs:
+            picked = tuple([cells[i] for i in idx])
+            scls = selected.get(picked)
+            if scls is None:
+                scls = select_class(cls, idx)
+                scls = selected[picked] = shared.setdefault(scls, scls)
+            row.append(scls)
+        rows[tuple(row)] = None
+    if not rows:
+        return None
     return plan, list(rows)
 
 
@@ -522,17 +540,23 @@ def verify_model(cs: ClauseSet, desc: InterpretationDescriptor) -> bool:
     """Semantic check of every clause of the normal form ``cs`` on every
     class representative and free assignment.
 
-    A clause's class stream is pruned by all its premise checks: every
-    member of a skipped class falsifies a premise constraint, so the
-    clause holds there.  The free assignments that no equation settles are
-    listed once per clause (``_cases``).  Each streamed class is judged once, on
-    integers: its representative, as numerators over the clause's one
-    denominator (``_Context.scaled``), must satisfy every variable conjunct
-    of the premise, its constants scaled once per clause
-    (``_scaled_premise``), before the assignments are checked against the
-    table; each base projection is classified from its numerators the first
-    time an assignment needs it.  No ``Fraction`` is built per class:
-    rationals stay in ``gamma`` and in the model's legend.
+    The free assignments that no equation settles are listed once per
+    clause (``_cases``).  A clause is checked per variable-disjoint
+    component (``_components``): under a fixed assignment it fails exactly
+    when every component has a point that meets the component's premise
+    conjuncts and falsifies its atoms, since points of different components
+    combine freely.  So each component streams the classes of its own
+    variables, pruned by its own checks, and a clause costs the sum of its
+    components' streams, not their product; one whose premise admits no
+    class makes the clause hold.  A component's distinct rows
+    (``_component_rows``) are each checked once per assignment against the
+    table (``_falsifiable``).
+
+    Each streamed class is judged once, on integers: its representative, as
+    numerators over the component's one denominator (``_Context.scaled``),
+    must satisfy every premise conjunct of the component, its constants
+    scaled once per component (``_scaled_premise``).  No ``Fraction`` is
+    built per class: rationals stay in ``gamma`` and in the model's legend.
     """
     ctx = _Context(desc.mode, desc.gamma, kappa=desc.kappa, partition=desc.partition)
     for cl in cs.clauses:
@@ -542,27 +566,90 @@ def verify_model(cs: ClauseSet, desc: InterpretationDescriptor) -> bool:
         cases = _cases(plan, desc.domain, desc.fconst_assign)
         if not cases:
             continue
-        idxs = [a[3] for a in plan.atoms]
-        d, rep, classify = ctx.scaled(len(plan.bvars))
-        scaled = _scaled_premise(ctx, cl.lam, plan.vidx, d)
-        for cls in ctx.classes(len(plan.bvars), plan.checks):
-            nums = rep(cls)
-            if not all(
-                rel.holds(nums[i] if j is None else nums[i] - nums[j], k)
-                for rel, i, j, k in scaled
-            ):
-                continue
-            projected: dict[tuple[int, ...], object] = {}
+        parts = []
+        for vidx, conjuncts, positions, idxs in _components(plan, cl.lam):
+            rows = _component_rows(ctx, vidx, conjuncts, idxs)
+            if not rows:
+                break  # no point meets this component's premise: the clause holds
+            parts.append((positions, rows))
+        else:
             for case in cases:
-                for (positive, pred, free_args), idx in zip(case, idxs):
-                    pcls = projected.get(idx)
-                    if pcls is None:
-                        pcls = projected[idx] = classify(tuple(nums[i] for i in idx))
-                    if desc.table.get((pred, free_args, pcls), False) == positive:
-                        break  # a premise atom is false or a conclusion atom true
-                else:
+                if all(_falsifiable(desc.table, [case[p] for p in positions], rows)
+                       for positions, rows in parts):
                     return False
     return True
+
+
+def _components(plan: _Plan, lam) -> list[tuple]:
+    """The variable-disjoint components of a clause, as (vidx, conjuncts,
+    positions, idxs): the component's base variables indexed from 0 in
+    clause order, its variable premise conjuncts, the positions of its
+    atoms in ``plan.atoms`` and their base indices within the component.
+
+    Two variables share a component when a premise conjunct or an atom
+    reads both.  The atoms without base arguments form a component of their
+    own, with no variables.
+    """
+    conjuncts = [c for c in lam if isinstance(c, (VarConst, VarVar, DiffConst))]
+    reads = [{plan.vidx[v] for v in constraint_vars(c)} for c in conjuncts]
+    groups = [{i} for i in range(len(plan.bvars))]
+    for read in reads + [set(a[3]) for a in plan.atoms]:
+        if read:
+            joined = set().union(*(g for g in groups if g & read))
+            groups = [g for g in groups if not g & read] + [joined]
+    out = []
+    for group in sorted(groups, key=min):
+        local = {i: k for k, i in enumerate(sorted(group))}
+        positions = [p for p, a in enumerate(plan.atoms) if a[3] and a[3][0] in group]
+        out.append((
+            {plan.bvars[i]: k for i, k in local.items()},
+            [c for c, read in zip(conjuncts, reads) if read & group],
+            positions,
+            [tuple(local[i] for i in plan.atoms[p][3]) for p in positions],
+        ))
+    base_free = [p for p, a in enumerate(plan.atoms) if not a[3]]
+    if base_free:
+        out.append(({}, [], base_free, [()] * len(base_free)))
+    return out
+
+
+def _component_rows(ctx: _Context, vidx, conjuncts, idxs) -> set[tuple]:
+    """The distinct rows of one component: for each class of its variables
+    ``vidx`` whose representative meets its premise ``conjuncts``, the
+    classes of the projections ``idxs``.  ``classify`` reads nothing but
+    the numerators, so it runs once per distinct tuple of them."""
+    arity = len(vidx)
+    d, rep, classify = ctx.scaled(arity)
+    scaled = _scaled_premise(ctx, conjuncts, vidx, d)
+    classified: dict = {}
+    rows = set()
+    for cls in ctx.classes(arity, ctx.checks(conjuncts, vidx)):
+        nums = rep(cls)
+        if not all(
+            rel.holds(nums[i] if j is None else nums[i] - nums[j], k)
+            for rel, i, j, k in scaled
+        ):
+            continue
+        row = []
+        for idx in idxs:
+            projected = tuple([nums[i] for i in idx])
+            pcls = classified.get(projected)
+            if pcls is None:
+                pcls = classified[projected] = classify(projected)
+            row.append(pcls)
+        rows.add(tuple(row))
+    return rows
+
+
+def _falsifiable(table, atoms, rows) -> bool:
+    """Whether the table falsifies every atom, as (positive, pred, free
+    args), on the classes of some row, in order: each premise atom true and
+    each conclusion atom false."""
+    return any(
+        all(table.get((pred, free_args, pcls), False) != positive
+            for (positive, pred, free_args), pcls in zip(atoms, row))
+        for row in rows
+    )
 
 
 def _scaled_premise(ctx: _Context, lam, vidx, d: int) -> list[tuple]:

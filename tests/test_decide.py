@@ -278,16 +278,46 @@ def test_verify_model_builds_no_fraction_per_class(monkeypatch):
     assert seen[3][0] <= seen[1][0], seen
 
 
-def test_verify_model_judges_values_not_cells():
-    # verify re-checks the premise on representatives; it reads neither the
-    # cell checks that pruned the stream nor the class selection of grounding
-    names = {
+def _reached_from(root: str) -> dict:
+    # the top-level functions and classes of bsrsat.decide that ``root``
+    # names, directly or through those it names in turn, by name
+    tree = ast.parse(inspect.getsource(decide_mod))
+    defs = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    reached, todo = {}, [root]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached[name] = defs[name]
+        todo.extend(
+            node.id for node in ast.walk(defs[name])
+            if isinstance(node, ast.Name) and node.id in defs
+        )
+    return reached
+
+
+def _names_read(defs) -> set[str]:
+    return {
         node.id if isinstance(node, ast.Name) else node.attr
-        for fn in (decide_mod.verify_model, decide_mod._scaled_premise)
-        for node in ast.walk(ast.parse(inspect.getsource(fn)))
+        for fn in defs.values()
+        for node in ast.walk(fn)
         if isinstance(node, (ast.Name, ast.Attribute))
     }
-    assert not names & {"check_holds", "select_class", "_class_ok"}
+
+
+def test_verify_model_judges_values_not_cells():
+    # verify re-checks the premise on representatives; neither it nor any
+    # function of decide it reaches reads the cell checks that pruned the
+    # stream or the class selection of grounding
+    cells = {"check_holds", "select_class", "_class_ok"}
+    reached = _reached_from("verify_model")
+    assert {"_scaled_premise", "_plan", "_cases", "_Context"} <= reached.keys()
+    assert not _names_read(reached) & cells
+    assert _names_read(_reached_from("_ground_clause")) >= {"select_class", "_class_ok"}
 
 
 # --- resource limits and options --------------------------------------------

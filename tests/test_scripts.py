@@ -21,6 +21,7 @@ RUNS = [
     ["selection_growth.py", "--rounds", "2", "--sizes", "10"],
     ["stream_digest.py", "--bsr", "4", "--timed", "1"],
     ["stream_digest.py", "--bsr", "4", "--timed", "1", "--decide"],
+    ["decide_pool.py", "--count", "6", "--top", "3"],
 ]
 
 FAILURE_MARKS = ("BROKEN", "MISMATCH", "DISAGREE")
@@ -50,3 +51,12 @@ def test_stream_digest_prints_normal_digest():
     lines = run_script(["stream_digest.py", "--bsr", "2", "--timed", "0"])
     normal = [line.split() for line in lines if line.startswith("normal ")]
     assert len(normal) == 1 and normal[0][1] == "2" and len(normal[0][-1]) == 64
+
+
+def test_decide_pool_lists_the_costliest_draws():
+    lines = run_script(["decide_pool.py", "--count", "6", "--top", "3"])
+    assert lines[0].startswith("decide 6 sets: ")
+    listed = [line.split() for line in lines[lines.index("costliest 3:") + 1:]]
+    assert len(listed) == 3
+    assert {row[0] for row in listed} <= {f"bsr:{i}" for i in range(6)}
+    assert {row[2] for row in listed} <= {"sat", "unsat"}
