@@ -4,8 +4,8 @@ Draws the first ``--count`` sets of the ``bsr-random`` pool
 (``random.Random(1706)``, alternating ``corpus._raw_bd`` and
 ``corpus._raw_slr``, as ``stream_digest.py`` draws them; pool member
 ``bsr:i`` is draw ``i``) and normalizes them all before the clock starts.
-Then runs ``decide`` once on each set and prints the total time, the time
-per fragment and the ``--top`` costliest draws with their verdicts.
+Then runs ``decide`` once on each set and prints the total time and the
+ten costliest draws with their verdicts.
 
 Two checkouts compare by running this script against each one's sources,
 one after the other on an otherwise idle machine:
@@ -23,10 +23,9 @@ from stream_digest import bsr_sets
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=1200, help="clause-set draws")
-    ap.add_argument("--top", type=int, default=10, help="costliest draws to list")
     args = ap.parse_args()
-    if args.count < 0 or args.top < 0:
-        ap.error("counts must be nonnegative")
+    if args.count < 0:
+        ap.error("--count must be nonnegative")
 
     sets = list(bsr_sets(args.count))
     rows = []
@@ -36,11 +35,8 @@ def main() -> int:
         rows.append((time.perf_counter() - t0, f"bsr:{i}", cs.mode, status))
     total = sum(r[0] for r in rows)
     print(f"decide {len(rows)} sets: {total:.2f}s")
-    for kind in ("bd", "slr"):
-        part = [r[0] for r in rows if r[2] == kind]
-        print(f"  {kind:<4}{len(part):>6} sets {sum(part):>9.2f}s")
-    print(f"costliest {min(args.top, len(rows))}:")
-    for secs, ident, kind, status in sorted(rows, reverse=True)[:args.top]:
+    print(f"costliest {min(10, len(rows))}:")
+    for secs, ident, kind, status in sorted(rows, reverse=True)[:10]:
         print(f"  {ident:<10}{kind:<5}{status:<7}{secs:>8.3f}s")
     return 0
 

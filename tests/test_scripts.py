@@ -21,7 +21,6 @@ RUNS = [
     ["selection_growth.py", "--rounds", "2", "--sizes", "10"],
     ["stream_digest.py", "--bsr", "4", "--timed", "1"],
     ["stream_digest.py", "--bsr", "4", "--timed", "1", "--decide"],
-    ["decide_pool.py", "--count", "6", "--top", "3"],
 ]
 
 FAILURE_MARKS = ("BROKEN", "MISMATCH", "DISAGREE")
@@ -54,9 +53,9 @@ def test_stream_digest_prints_normal_digest():
 
 
 def test_decide_pool_lists_the_costliest_draws():
-    lines = run_script(["decide_pool.py", "--count", "6", "--top", "3"])
+    lines = run_script(["decide_pool.py", "--count", "6"])
     assert lines[0].startswith("decide 6 sets: ")
-    listed = [line.split() for line in lines[lines.index("costliest 3:") + 1:]]
-    assert len(listed) == 3
-    assert {row[0] for row in listed} <= {f"bsr:{i}" for i in range(6)}
+    listed = [line.split() for line in lines[lines.index("costliest 6:") + 1:]]
+    assert len(listed) == 6
+    assert {row[0] for row in listed} == {f"bsr:{i}" for i in range(6)}
     assert {row[2] for row in listed} <= {"sat", "unsat"}
