@@ -348,26 +348,30 @@ def _instantiate(grounded, domain, assign):
 def enumerate_preorders(skolems, rationals=()):
     """Ordered partitions of the base constants, rational-order consistent.
 
-    Elements are skolem names and rational values; a partition is kept
-    when distinct rationals occupy distinct blocks in ascending order.
+    Elements are skolem names and rational values; distinct rationals
+    occupy distinct blocks in ascending order.  Built, not filtered: the
+    Skolems are partitioned first, then each rational, from the largest
+    down, joins a block before the block of the next larger one or opens a
+    new block no later than it.  That is the order in which
+    ``ordered_set_partitions`` over the rationals (ascending) and then the
+    Skolems yields the partitions that keep the rationals in order.
     """
-    elements = tuple(sorted(set(rationals))) + tuple(sorted(set(skolems)))
-    for part in ordered_set_partitions(elements):
-        if _rationals_ordered(part):
-            yield part
+    parts = ordered_set_partitions(tuple(sorted(set(skolems))))
+    rats = sorted(set(rationals), reverse=True)
+    for r, larger in zip(rats, [None] + rats):
+        parts = _place_rational(parts, r, larger)
+    return parts
 
 
-def _rationals_ordered(part) -> bool:
-    prev = None
-    for block in part:
-        rs = [e for e in block if isinstance(e, Fraction)]
-        if len(rs) > 1:
-            return False
-        if rs:
-            if prev is not None and not prev < rs[0]:
-                return False
-            prev = rs[0]
-    return True
+def _place_rational(parts, r, larger):
+    # the blocks before larger's (all of them when larger is None) hold no
+    # rational, as the rationals placed so far are in order
+    for part in parts:
+        end = next((i for i, block in enumerate(part) if larger in block), len(part))
+        for i in range(end):
+            yield part[:i] + ((r,) + part[i],) + part[i + 1:]
+        for i in range(end + 1):
+            yield part[:i] + ((r,),) + part[i:]
 
 
 def _gterm(e) -> GroundTerm:

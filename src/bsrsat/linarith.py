@@ -173,9 +173,9 @@ def solve_ground(sys: GroundSystem, names: Sequence[str] = ()) -> dict[str, Frac
     """Satisfying assignment for the system, or None.
 
     Disequations are handled by a depth-first case split over the two strict
-    sides, explored in deterministic constraint order; branch sets that
-    already failed are memoized.  names lists extra Skolems that must appear
-    in the output even if unconstrained (they default to 0).
+    sides, explored in deterministic constraint order.  names lists extra
+    Skolems that must appear in the output even if unconstrained (they
+    default to 0).
     """
     base: list[Ineq] = []
     neqs: list[GroundTerm] = []
@@ -190,21 +190,13 @@ def solve_ground(sys: GroundSystem, names: Sequence[str] = ()) -> dict[str, Frac
         else:
             base.extend(_as_ineqs(left, rel, right))
 
-    failed: set[frozenset] = set()
-
     def dfs(i: int, extra: list[Ineq]) -> dict[str, Fraction] | None:
         if i == len(neqs):
             return _solve_ineqs(base + extra)
         for branch in (neqs[i], neqs[i].scale(rat(-1))):
-            key = frozenset((e.offset, e.coeffs) for e, _ in extra) | {
-                (branch.offset, branch.coeffs)
-            }
-            if key in failed:
-                continue
             result = dfs(i + 1, extra + [(branch, True)])
             if result is not None:
                 return result
-            failed.add(key)
         return None
 
     gamma = dfs(0, [])

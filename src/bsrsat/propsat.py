@@ -1,8 +1,11 @@
-"""Minimal complete propositional solver (DPLL, two watched literals).
+"""Minimal complete propositional solver (DPLL over occurrence lists).
 
 Variables are 1-based integers; literals are nonzero ints with sign as
 polarity.  Search order is fixed: lowest-index unassigned variable first,
-False before True, so results are deterministic.
+False before True.  Unit propagation reaches the same closure whatever
+order it visits clauses in, so the model returned is the least one in
+that order (variable 1 first, False below True), and ``decide``'s models
+rely on it.
 """
 
 from __future__ import annotations
@@ -34,105 +37,72 @@ def solve(
     per branching variable picked during the search.
     """
     clauses: list[tuple[int, ...]] = []
-    units: list[int] = []
     for raw in inst.clauses:
         c = tuple(dict.fromkeys(raw))
         if not c:
             return None
         if any(-l in c for l in c):
             continue
-        if len(c) == 1:
-            units.append(c[0])
         clauses.append(c)
 
     n = inst.n_vars
     assign: list[int] = [0] * (n + 1)  # 0 unassigned, +1 true, -1 false
-    watches: dict[int, list[int]] = {}
-    for ci, c in enumerate(clauses):
-        if len(c) >= 2:
-            watches.setdefault(c[0], []).append(ci)
-            watches.setdefault(c[1], []).append(ci)
-    watched: list[list[int]] = [list(c[:2]) for c in clauses]
+    occurs: dict[int, list[tuple[int, ...]]] = {}
+    for c in clauses:
+        for l in c:
+            occurs.setdefault(l, []).append(c)
 
     trail: list[int] = []
     # decision stack entries: (trail length before decision, literal tried)
     decisions: list[tuple[int, int]] = []
 
-    def value(lit: int) -> int:
-        v = assign[abs(lit)]
-        return v if lit > 0 else -v
-
-    def enqueue(lit: int) -> bool:
+    def propagate(lit: int) -> bool:
         """Assign lit true and propagate; False on conflict."""
         pending = [lit]
         while pending:
             l = pending.pop()
-            v = value(l)
+            v = assign[l] if l > 0 else -assign[-l]
             if v == 1:
                 continue
             if v == -1:
                 return False
             assign[abs(l)] = 1 if l > 0 else -1
             trail.append(l)
-            falsified = -l
-            for ci in list(watches.get(falsified, ())):
-                pair = watched[ci]
-                if falsified not in pair:
-                    continue
-                other = pair[0] if pair[1] == falsified else pair[1]
-                if value(other) == 1:
-                    continue
-                moved = False
-                for cand in clauses[ci]:
-                    if cand != other and cand != falsified and value(cand) != -1:
-                        pair[pair.index(falsified)] = cand
-                        watches[falsified].remove(ci)
-                        watches.setdefault(cand, []).append(ci)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                if value(other) == 0:
-                    pending.append(other)
+            for c in occurs.get(-l, ()):
+                unit = 0
+                for x in c:
+                    v = assign[x] if x > 0 else -assign[-x]
+                    if v == 1 or (v == 0 and unit):
+                        break  # satisfied, or a second open literal
+                    if v == 0:
+                        unit = x
                 else:
-                    return False
+                    if not unit:
+                        return False
+                    pending.append(unit)
         return True
 
-    def backtrack_to(mark: int) -> None:
-        while len(trail) > mark:
-            assign[abs(trail.pop())] = 0
-
-    conflict = any(not enqueue(u) for u in units)
+    ok = all(propagate(c[0]) for c in clauses if len(c) == 1)
     cursor = 1
     while True:
-        if conflict:
-            while decisions:
-                mark, lit = decisions.pop()
-                backtrack_to(mark)
-                if lit < 0:  # False was tried; flip to True
-                    if enqueue(-lit):
-                        decisions.append((mark, -lit))
-                        conflict = False
-                        cursor = 1
-                        break
-            else:
-                return None
-            if conflict:
-                return None
-            continue
-        while cursor <= n and assign[cursor] != 0:
-            cursor += 1
-        if cursor > n:
-            return {v: assign[v] == 1 for v in range(1, n + 1)}
-        if counters is not None:
-            counters["decisions"] = counters.get("decisions", 0) + 1
-        lit = -cursor
-        mark = len(trail)
-        if enqueue(lit):
-            decisions.append((mark, lit))
+        if ok:
+            while cursor <= n and assign[cursor] != 0:
+                cursor += 1
+            if cursor > n:
+                return {v: assign[v] == 1 for v in range(1, n + 1)}
+            if counters is not None:
+                counters["decisions"] = counters.get("decisions", 0) + 1
+            lit = -cursor
         else:
-            backtrack_to(mark)
-            if enqueue(-lit):
-                decisions.append((mark, -lit))
-            else:
-                conflict = True
+            # undo up to the latest decision that tried False and flip it
+            while decisions and decisions[-1][1] > 0:
+                decisions.pop()
+            if not decisions:
+                return None
+            mark, lit = decisions.pop()
+            for l in trail[mark:]:
+                assign[abs(l)] = 0
+            del trail[mark:]
+            lit = cursor = -lit  # every variable below it stays assigned
+        decisions.append((len(trail), lit))
+        ok = propagate(lit)

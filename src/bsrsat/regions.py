@@ -183,9 +183,6 @@ def ordered_set_partitions(items: Sequence) -> Iterator[tuple[tuple, ...]]:
         yield ()
         return
     first, rest = items[0], items[1:]
-    if not rest:
-        yield ((first,),)
-        return
     for part in ordered_set_partitions(rest):
         for i in range(len(part)):
             yield part[:i] + ((first,) + part[i],) + part[i + 1:]
@@ -373,8 +370,7 @@ def class_of_bd_scaled(
     """The class of the tuple of numerators ``nums`` over the denominator
     ``d``: ``divmod`` by ``d`` gives the floor and the numerator of the
     fractional part, and integers are ranked."""
-    if kappa < 0:  # not _require_sizes: verify calls this once per projection
-        raise ValueError(f"kappa must be nonnegative, got {kappa}")
+    _require_sizes(len(nums), kappa)
     # a bounded tuple lies in (-kappa-1, kappa+1), where its class is the
     # unbounded one at kappa + 1
     edge = (kappa + 1 if bounded else kappa) * d

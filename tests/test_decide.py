@@ -25,6 +25,7 @@ from bsrsat.decide import (
 from bsrsat.linarith import GroundSystem, solve_ground
 from bsrsat.normalize import normalize
 from bsrsat.parser import parse_clause_set
+from bsrsat.regions import ordered_set_partitions
 from bsrsat.report import (
     STATUS_SAT,
     STATUS_UNSAT,
@@ -483,6 +484,43 @@ def test_emit_zero_filled_stats():
 def test_emit_rejects_unknown_format():
     with pytest.raises(ValueError):
         emit_result(ResultReport(STATUS_UNSAT), "json")
+
+
+# --- preorders ---------------------------------------------------------------
+
+
+def _filtered_preorders(skolems, rationals):
+    """Reference: every ordered partition of the rationals (ascending) and
+    then the Skolems, kept when distinct rationals occupy distinct blocks in
+    ascending order."""
+    elements = tuple(sorted(set(rationals))) + tuple(sorted(set(skolems)))
+    for part in ordered_set_partitions(elements):
+        per_block = [[e for e in block if isinstance(e, Fraction)] for block in part]
+        rats = [r for rs in per_block for r in rs]
+        if all(len(rs) <= 1 for rs in per_block) and rats == sorted(rats):
+            yield part
+
+
+def test_preorders_built_equal_the_filtered_partitions():
+    for n_rats in range(4):
+        for n_skolems in range(5):
+            skolems = [f"s{i}" for i in range(n_skolems)]
+            rats = [Fraction(i, 3) for i in range(n_rats)]
+            assert list(enumerate_preorders(skolems, rats)) == list(
+                _filtered_preorders(skolems, rats)), (n_rats, n_skolems)
+    # every slr draw of the benchmark's 1,200-draw pool
+    rng = random.Random(1706)
+    kept = 0
+    for i in range(1200):
+        raw = (corpus._raw_bd, corpus._raw_slr)[i % 2](rng)
+        if i % 2 == 0:
+            continue
+        cs = normalize(raw)
+        skolems, rats = sorted(cs.skolems), sorted(cs.rationals())
+        want = list(_filtered_preorders(skolems, rats))
+        assert list(enumerate_preorders(skolems, rats)) == want, i
+        kept += len(want)
+    assert kept == 18754
 
 
 # --- preorder witnesses -----------------------------------------------------

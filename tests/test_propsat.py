@@ -10,6 +10,8 @@ from bsrsat.propsat import PropInstance, check_assignment, solve
 
 
 def brute_force(inst):
+    """The least model in the solver's search order (variable 1 first,
+    False before True), or None."""
     for bits in itertools.product([False, True], repeat=inst.n_vars):
         model = {i + 1: b for i, b in enumerate(bits)}
         if check_assignment(inst.clauses, model):
@@ -57,7 +59,10 @@ def test_pigeonhole_three_into_two_unsat():
     for j in range(2):
         for i1, i2 in itertools.combinations(range(3), 2):
             inst.add((-v(i1, j), -v(i2, j)))
-    assert solve(inst) is None
+    counters = {"decisions": 0}
+    assert solve(inst, counters) is None
+    # 1=F and 1=T each propagate to a conflict: one branching variable
+    assert counters["decisions"] == 1
 
 
 def test_solution_is_total_assignment():
@@ -70,7 +75,8 @@ def test_solution_is_total_assignment():
 def test_decision_counter_counts_branches():
     counters = {"decisions": 0}
     solve(PropInstance(3, [(1, 2), (2, 3)]), counters)
-    assert counters["decisions"] >= 1
+    # 1=F forces 2=T; 3 is then a free branch
+    assert counters["decisions"] == 2
     forced = {"decisions": 0}
     solve(PropInstance(2, [(1,), (2,)]), forced)
     assert forced["decisions"] == 0
@@ -98,11 +104,7 @@ clause_st = st.lists(
 @given(clause_st)
 def test_agrees_with_brute_force(clauses):
     inst = PropInstance(5, list(clauses))
-    got = solve(inst)
-    ref = brute_force(inst)
-    assert (got is None) == (ref is None)
-    if got is not None:
-        assert check_assignment(inst.clauses, got)
+    assert solve(inst) == brute_force(inst)
 
 
 def test_random_3sat_round():
@@ -116,7 +118,4 @@ def test_random_3sat_round():
                 for v in rng.sample(range(1, n + 1), k=min(3, n))
             )
             inst.add(lits)
-        got = solve(inst)
-        assert (got is None) == (brute_force(inst) is None)
-        if got is not None:
-            assert check_assignment(inst.clauses, got)
+        assert solve(inst) == brute_force(inst)
