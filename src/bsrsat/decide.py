@@ -321,19 +321,32 @@ def _ground_clause(ctx: _Context, cl, stats: SolveStats) -> tuple[_Plan, list] |
 
 def _instantiate(grounded, domain, assign):
     """Propositional instance for one candidate (domain, assignment), and
-    the variable of each (pred, free args, class) atom."""
+    the variable of each (pred, free args, class) atom, numbered by first
+    occurrence.
+
+    Rows repeat a few selected classes per atom, so within a case each atom
+    position keeps the literal of each class it has met.  Only a premise
+    atom and a conclusion atom with the same predicate and free arguments
+    can make a row a tautology, so a case without such a pair skips the
+    tautology test."""
     atom_ids: dict[tuple, int] = {}
     clauses: list[tuple[int, ...]] = []
     seen: set[frozenset[int]] = set()
     for plan, rows in grounded:
         for case in _cases(plan, domain, assign):
+            heads = {(pred, fa) for positive, pred, fa in case if positive}
+            clash = any((pred, fa) in heads for positive, pred, fa in case if not positive)
+            memo: list[dict] = [{} for _ in case]
             for row in rows:
                 lits = []
-                for (positive, pred, fa), scls in zip(case, row):
-                    vid = atom_ids.setdefault((pred, fa, scls), len(atom_ids) + 1)
-                    lits.append(vid if positive else -vid)
+                for (positive, pred, fa), known, scls in zip(case, memo, row):
+                    lit = known.get(scls)
+                    if lit is None:
+                        vid = atom_ids.setdefault((pred, fa, scls), len(atom_ids) + 1)
+                        lit = known[scls] = vid if positive else -vid
+                    lits.append(lit)
                 key = frozenset(lits)
-                if any(-l in key for l in key):
+                if clash and any(-l in key for l in key):
                     continue
                 if key in seen:
                     continue

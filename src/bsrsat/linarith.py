@@ -12,6 +12,7 @@ reproducible.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -190,17 +191,13 @@ def solve_ground(sys: GroundSystem, names: Sequence[str] = ()) -> dict[str, Frac
         else:
             base.extend(_as_ineqs(left, rel, right))
 
-    def dfs(i: int, extra: list[Ineq]) -> dict[str, Fraction] | None:
-        if i == len(neqs):
-            return _solve_ineqs(base + extra)
-        for branch in (neqs[i], neqs[i].scale(rat(-1))):
-            result = dfs(i + 1, extra + [(branch, True)])
-            if result is not None:
-                return result
-        return None
-
-    gamma = dfs(0, [])
-    if gamma is None:
+    # the leaves of the depth-first split, in its order: each disequation
+    # e != 0 as e > 0 first, then as -e > 0
+    for sides in itertools.product(*((e, e.scale(rat(-1))) for e in neqs)):
+        gamma = _solve_ineqs(base + [(side, True) for side in sides])
+        if gamma is not None:
+            break
+    else:
         return None
     for name in names:
         gamma.setdefault(name, Fraction(0))

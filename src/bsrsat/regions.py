@@ -46,12 +46,18 @@ one cell, so they are settled per coordinate before the loops
 order is chosen.  The bd unbounded enumerator first closes the convex checks
 (all but ``!=``) into a zone, a difference-bound matrix: its bounds join the
 constant bounds, and between in-range coordinates it bounds the floor
-differences (``_bands``), which decides those pair checks.  ``check_holds``
-decides the ``!=`` pair checks as their floors are placed, and the var-var
-checks over a coordinate beyond +/-kappa as the value order there is
-chosen.  A difference is class-determined only in range, so a difference
-check whose coordinates the constant bounds do not hold within +/-kappa
-raises ``FragmentError`` before the first class.
+differences (``_bands``), which decides those pair checks.  A zero set
+(the in-range coordinates whose fractional part vanishes) fixes the rank
+relation of every pair with a coordinate in it, so one that leaves such a
+pair an empty band is skipped before its fractional orders are walked.
+Floors are placed level-wise (``_floor_tuples``): the admitted floor
+prefixes grow one coordinate at a time, the bands clipping each next floor
+to one interval.  ``check_holds`` decides the ``!=`` pair checks as their
+floors are placed, and the var-var checks over a coordinate beyond
++/-kappa as the value order there is chosen.  A difference is
+class-determined only in range, so a difference check whose coordinates the
+constant bounds do not hold within +/-kappa raises ``FragmentError`` before
+the first class.
 """
 
 from __future__ import annotations
@@ -300,23 +306,20 @@ def enumerate_slr_classes(
             yield RegionClass(tuple((b, idxs[b]) for b in block_of), FAMILY_SLR)
 
 
-def _interval_assignments(per_block: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+def _interval_assignments(per_block: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Nondecreasing interval index sequences, block ``pos`` taking an
-    interval of ``per_block[pos]`` (ascending); point intervals never repeat."""
-    nblocks = len(per_block)
-
-    def rec(pos: int, minimum: int) -> Iterator[tuple[int, ...]]:
-        if pos == nblocks:
-            yield ()
-            return
-        for idx in per_block[pos]:
-            if idx < minimum:
-                continue
-            nxt = idx + 1 if idx % 2 == 1 else idx
-            for tail in rec(pos + 1, nxt):
-                yield (idx,) + tail
-
-    yield from rec(0, 0)
+    interval of ``per_block[pos]`` (ascending); point intervals never repeat.
+    Lexicographic, built level-wise: each sequence grows by the intervals of
+    the next block from its least admissible one on, which is its last
+    interval for an open interval and the one after it for a point."""
+    seqs: list[tuple[int, ...]] = [()]
+    for ivs in per_block:
+        seqs = [
+            seq + (iv,)
+            for seq in seqs
+            for iv in ivs[bisect.bisect_left(ivs, seq[-1] + seq[-1] % 2 if seq else 0):]
+        ]
+    return seqs
 
 
 def representative_slr_scaled(
@@ -444,10 +447,14 @@ def enumerate_bd_unbounded(
     fractional structure is fixed, the zone bounds the floor differences of
     in-range pairs (``_bands``): a structure that leaves some pair no
     difference is skipped, and each floor keeps to the bands of the floors
-    placed before it.  That decides every check between in-range
-    coordinates but ``!=``, which ``check_holds`` decides once both floors
-    are placed; it decides a var-var check over a coordinate beyond +/-kappa
-    once the value order there is chosen.
+    placed before it (``_floor_tuples``, level-wise).  The zero set alone
+    fixes the rank relation of a pair with a vanishing fractional part
+    (both rank 0, or rank 0 below every positive rank), so a zero set that
+    leaves such a pair no difference is skipped before its fractional
+    orders are walked (``_zero_set_open``).  That decides every check
+    between in-range coordinates but ``!=``, which ``check_holds`` decides
+    once both floors are placed; it decides a var-var check over a
+    coordinate beyond +/-kappa once the value order there is chosen.
 
     Guards are static: a difference check between coordinates that their
     constant bounds do not hold within +/-kappa raises ``FragmentError``
@@ -506,6 +513,9 @@ def enumerate_bd_unbounded(
             if (a, b) in bands
         ]
         unlimited = [()] * len(inside)
+        # per coordinate its fractional rank, once the zero set and the
+        # fractional order are chosen
+        ranks = [0] * arity
         below = tuple(c for c in coords if buckets[c] == BUCKET_BELOW)
         above = tuple(c for c in coords if buckets[c] == BUCKET_ABOVE)
         for below_part in ordered_set_partitions(below):
@@ -518,13 +528,15 @@ def enumerate_bd_unbounded(
                     continue
                 for zero in _subsets(inside):
                     ranges = [floor_opts[c][c in zero] for c in inside]
-                    if not all(ranges):
+                    if not all(ranges) or not _zero_set_open(pairs, zero):
                         continue
                     nonzero = tuple(c for c in inside if c not in zero)
+                    for c in zero:
+                        ranks[c] = 0
                     for part in ordered_set_partitions(nonzero):
-                        ranks = dict.fromkeys(zero, 0)
                         for rank, block in enumerate(part, start=1):
-                            ranks.update(dict.fromkeys(block, rank))
+                            for c in block:
+                                ranks[c] = rank
                         limits = _floor_limits(pairs, ranks, len(inside)) if pairs else unlimited
                         if limits is None:
                             continue
@@ -669,6 +681,20 @@ def _stage_bd_checks(checks, inside):
     return outer, staged
 
 
+def _zero_set_open(pairs, zero) -> bool:
+    """Whether no pair with a vanishing fractional part has an empty band.
+    The zero set alone fixes the rank relation of such a pair: both rank 0,
+    or rank 0 lies below every positive rank.  So an empty band there makes
+    ``_floor_limits`` reject every fractional order of the zero set."""
+    for _, _, a, b, band in pairs:
+        za, zb = a in zero, b in zero
+        if za or zb:
+            lo, hi = band[za - zb + 1]
+            if lo > hi:
+                return False
+    return True
+
+
 def _floor_limits(pairs, ranks, n: int):
     """Per in-range position k < n, the (p, lo, hi) for which the band of
     the pair at positions p < k confines f_k - f_p to [lo, hi] under these
@@ -686,31 +712,46 @@ def _floor_limits(pairs, ranks, n: int):
 
 def _floor_tuples(inside, ranges, ranks, cells, limits, staged) -> Iterator[tuple[int, ...]]:
     """``itertools.product(*ranges)`` minus every floor prefix that leaves
-    a band of its last coordinate or fails a check staged there; ``cells``
-    receives the placed floors."""
+    a band of its last coordinate or fails a check staged there, in the same
+    (lexicographic) order.
+
+    Level-wise: the admitted prefixes grow one in-range coordinate at a
+    time, up to the last position that a band or a staged check constrains,
+    and the unconstrained tail is appended by ``itertools.product``.  Per
+    prefix, the bands of a position clip its ascending range to one
+    interval [lo, hi] of floors.  Where checks are staged, ``cells``
+    receives the prefix's floors, which they read."""
     last = max((k for k in range(len(inside)) if limits[k] or staged[k]), default=-1)
     if last < 0:
         return itertools.product(*ranges)
-
-    def rec(k: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if k > last:
-            for tail in itertools.product(*ranges[k:]):
-                yield prefix + tail
-            return
-        c, chs = inside[k], staged[k]
-        rank = ranks[c]
-        lo = max((prefix[p] + d for p, d, _ in limits[k]), default=-math.inf)
-        hi = min((prefix[p] + d for p, _, d in limits[k]), default=math.inf)
-        for f in ranges[k]:
-            if f > hi:
-                break
-            if f < lo:
+    prefixes: list[tuple[int, ...]] = [()]
+    for k in range(last + 1):
+        fs, lim, chs = ranges[k], limits[k], staged[k]
+        c = inside[k]
+        grown = []
+        for prefix in prefixes:
+            lo, hi = fs[0], fs[-1]
+            for p, dlo, dhi in lim:
+                f = prefix[p]
+                if f + dlo > lo:
+                    lo = f + dlo
+                if f + dhi < hi:
+                    hi = f + dhi
+            if lo > hi:
                 continue
-            cells[c] = (BUCKET_IN, f, rank)
-            if all(check_holds(ch, cells) for ch in chs):
-                yield from rec(k + 1, prefix + (f,))
-
-    return rec(0, ())
+            admitted = fs[bisect.bisect_left(fs, lo):bisect.bisect_right(fs, hi)]
+            if not chs:
+                grown += [prefix + (f,) for f in admitted]
+                continue
+            for b, f in zip(inside, prefix):  # the floors the checks may read
+                cells[b] = (BUCKET_IN, f, ranks[b])
+            for f in admitted:
+                cells[c] = (BUCKET_IN, f, ranks[c])
+                if all(check_holds(ch, cells) for ch in chs):
+                    grown.append(prefix + (f,))
+        prefixes = grown
+    tail = ranges[last + 1:]
+    return (prefix + t for prefix in prefixes for t in itertools.product(*tail))
 
 
 def _outer_block_counts(cells) -> tuple[int, int]:

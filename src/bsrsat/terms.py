@@ -13,6 +13,7 @@ rejected everywhere at construction time.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -37,6 +38,16 @@ def rat(x: RationalLike) -> Fraction:
     return Fraction(x)
 
 
+_OPERATORS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    "=": operator.eq,
+    "!=": operator.ne,
+    ">=": operator.ge,
+    ">": operator.gt,
+}
+
+
 class Relation(enum.Enum):
     LT = "<"
     LE = "<="
@@ -45,18 +56,10 @@ class Relation(enum.Enum):
     GE = ">="
     GT = ">"
 
-    def holds(self, a: Fraction, b: Fraction) -> bool:
-        if self is Relation.LT:
-            return a < b
-        if self is Relation.LE:
-            return a <= b
-        if self is Relation.EQ:
-            return a == b
-        if self is Relation.NEQ:
-            return a != b
-        if self is Relation.GE:
-            return a >= b
-        return a > b
+    def __init__(self, symbol: str):
+        # ``rel.holds(a, b)`` is whether a rel b: the relation's own
+        # ``operator`` function, called directly, with no dispatch on rel.
+        self.holds = _OPERATORS[symbol]
 
     def flip(self) -> "Relation":
         """Relation seen from the right-hand side: a R b iff b flip(R) a."""

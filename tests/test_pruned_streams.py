@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bsrsat import corpus
+from bsrsat import corpus, regions
 from bsrsat.decide import _class_ok, _contexts
 from bsrsat.normalize import normalize
 from bsrsat.regions import (
@@ -143,6 +143,9 @@ EMPTY_CHAIN = (CHAIN[0], CHAIN[1], CHAIN[2] + _diffs(("x0", "x2", Relation.LT, 2
           + [VarVar("x3", Relation.LE, "x1")]
           + _diffs(("x1", "x0", Relation.LE, -1), ("x2", "x1", Relation.LT, 2),
                    ("x3", "x2", Relation.GE, -1), ("x0", "x3", Relation.NEQ, -1))))
+@example((3, 2, _guarded("x0", "x1", -2, 2) + _guarded("x2", "x2", -1, 1)
+          + [VarVar("x0", Relation.NEQ, "x1")]
+          + _diffs(("x2", "x0", Relation.GE, -1), ("x1", "x2", Relation.LT, 1))))
 def test_bd_pruned_stream_filters_like_full_stream(premise):
     arity, kappa, cons = premise
     vidx = {v: i for i, v in enumerate(_names(arity))}
@@ -297,3 +300,28 @@ def test_bound_beyond_kappa_is_a_fragment_error_before_any_class():
     stream = enumerate_bd_unbounded(1, 1, compile_checks(MODE_BD, [x], {"x": 0}))
     with pytest.raises(FragmentError):
         next(stream)
+
+
+def test_zero_sets_with_an_empty_band_skip_their_fractional_orders(monkeypatch):
+    # x0 - x2 = -1 and x1 - x3 = -1 tie the fractional parts of x0, x2 and
+    # of x1, x3, so only the zero sets {}, {x0, x2}, {x1, x3} and all four
+    # leave every band of a vanishing fractional part open: 75 + 3 + 3 + 1
+    # fractional orders reach the floor limits, of 150 in all.
+    names = _names(4)
+    cons = [VarConst(v, rel, GroundTerm.constant(Fraction(c)))
+            for v in names for rel, c in ((Relation.GE, 0), (Relation.LT, 2))]
+    cons += [VarVar("x1", Relation.GE, "x0"), VarVar("x3", Relation.GE, "x2")]
+    cons += _diffs(("x0", "x2", Relation.EQ, -1), ("x1", "x3", Relation.EQ, -1))
+    checks = _checks(4, cons)
+    calls = []
+    floor_limits = regions._floor_limits
+
+    def counted(*args):
+        calls.append(args)
+        return floor_limits(*args)
+
+    monkeypatch.setattr(regions, "_floor_limits", counted)
+    stream = list(enumerate_bd_unbounded(4, 2, checks))
+    assert len(calls) <= 82
+    assert len(stream) == 4
+    assert stream == [c for c in enumerate_bd_unbounded(4, 2) if _class_ok(c, checks)]

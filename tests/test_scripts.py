@@ -59,3 +59,11 @@ def test_decide_pool_lists_the_costliest_draws():
     assert len(listed) == 6
     assert {row[0] for row in listed} == {f"bsr:{i}" for i in range(6)}
     assert {row[2] for row in listed} <= {"sat", "unsat"}
+
+
+def test_decide_pool_times_the_automata_with_the_draws():
+    lines = run_script(["decide_pool.py", "--count", "2", "--timed", "2"])
+    assert lines[0].startswith("decide 4 sets: ")
+    listed = [line.split() for line in lines[lines.index("costliest 4:") + 1:]]
+    assert {row[0] for row in listed} == {"bsr:0", "bsr:1", "ta:0", "ta:1"}
+    assert {row[2] for row in listed} <= {"sat", "unsat"}

@@ -1,5 +1,6 @@
 """Core term, constraint, and clause layer."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -90,11 +91,30 @@ def test_relation_flip_and_negate():
         assert r.flip().flip() is r
 
 
-@given(rationals, rationals)
-def test_relation_holds_matches_python(a, b):
-    assert Relation.LT.holds(a, b) == (a < b)
-    assert Relation.GE.holds(a, b) == (a >= b)
-    assert Relation.NEQ.holds(a, b) == (a != b)
+OPERATORS = {
+    Relation.LT: operator.lt,
+    Relation.LE: operator.le,
+    Relation.EQ: operator.eq,
+    Relation.NEQ: operator.ne,
+    Relation.GE: operator.ge,
+    Relation.GT: operator.gt,
+}
+INTS = st.integers(-4, 4)
+
+
+@given(st.one_of(
+    st.tuples(INTS, INTS),
+    st.tuples(rationals, rationals),
+    st.tuples(INTS, rationals),
+    st.tuples(rationals, INTS),
+))
+def test_relation_holds_matches_operator(pair):
+    # ints, Fractions and mixed pairs: the class layer compares ints, the
+    # semantic layer Fractions, and normalize a Fraction against 0
+    a, b = pair
+    assert set(OPERATORS) == set(Relation)
+    for rel, op in OPERATORS.items():
+        assert rel.holds(a, b) is op(a, b)
 
 
 @given(rationals, rationals, rationals)
