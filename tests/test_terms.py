@@ -108,7 +108,7 @@ INTS = st.integers(-4, 4)
     st.tuples(INTS, rationals),
     st.tuples(rationals, INTS),
 ))
-def test_relation_holds_matches_operator(pair):
+def test_relation_holds_matches_python(pair):
     # ints, Fractions and mixed pairs: the class layer compares ints, the
     # semantic layer Fractions, and normalize a Fraction against 0
     a, b = pair
