@@ -7,6 +7,11 @@ copies), names compound ground terms through definitional Skolem clauses,
 renames clauses apart, and guarantees at least one free constant.  The
 result is equisatisfiable with the input and satisfies the normal-form
 invariants checked by ``validate_normal_form``.
+
+Each check runs once, where its input enters: ``normalize`` validates the
+clause set it is given, and ``decide`` and ``naive_decide`` run
+``validate_normal_form`` on the set they receive.  ``normalize`` does not
+re-check its own output; the tests run that check over generated sets.
 """
 
 from __future__ import annotations
@@ -372,7 +377,10 @@ def _rt(t: FreeTerm, rv) -> FreeTerm:
 
 
 def normalize(cs: ClauseSet) -> ClauseSet:
-    """Full pipeline; the result is equisatisfiable and in normal form."""
+    """Full pipeline; the result is equisatisfiable and in normal form.
+
+    Validates its argument only: the deciders check the normal form when
+    they receive it."""
     cs.validate()
     if cs.mode not in (MODE_SLR, MODE_BD):
         raise FragmentError(f"cannot normalize mode {cs.mode!r}")
@@ -385,7 +393,6 @@ def normalize(cs: ClauseSet) -> ClauseSet:
     out = rename_apart(out)
     if not out.fconsts:
         out.fconsts.append(_FreshNames(FCONST_PREFIX, _used_names(out)).next())
-    validate_normal_form(out)
     return out
 
 

@@ -249,11 +249,7 @@ def constraint_vars(c: Constraint) -> tuple[str, ...]:
     if isinstance(c, DiffConst):
         return (c.var, c.other) if c.var != c.other else (c.var,)
     if isinstance(c, DeltaEq):
-        out = []
-        for v in (c.new, c.old, c.delta):
-            if v not in out:
-                out.append(v)
-        return tuple(out)
+        return tuple(dict.fromkeys((c.new, c.old, c.delta)))
     return ()
 
 
@@ -352,22 +348,14 @@ FreeAtom = Union[Equation, PredAtom]
 
 
 def atom_free_vars(a: FreeAtom) -> tuple[str, ...]:
-    out: list[str] = []
     terms = (a.left, a.right) if isinstance(a, Equation) else a.free_args
-    for t in terms:
-        if not t.is_const and t.name not in out:
-            out.append(t.name)
-    return tuple(out)
+    return tuple(dict.fromkeys(t.name for t in terms if not t.is_const))
 
 
 def atom_base_vars(a: FreeAtom) -> tuple[str, ...]:
     if isinstance(a, Equation):
         return ()
-    out: list[str] = []
-    for v in a.base_args:
-        if v not in out:
-            out.append(v)
-    return tuple(out)
+    return tuple(dict.fromkeys(a.base_args))
 
 
 # --- clauses ---------------------------------------------------------------
@@ -426,24 +414,12 @@ class Clause:
 
     def base_vars(self) -> tuple[str, ...]:
         """Base-sort variables in first-occurrence order over lam, gamma, delta."""
-        out: list[str] = []
-        for c in self.lam:
-            for v in constraint_vars(c):
-                if v not in out:
-                    out.append(v)
-        for a in self.gamma + self.delta:
-            for v in atom_base_vars(a):
-                if v not in out:
-                    out.append(v)
-        return tuple(out)
+        vs = [v for c in self.lam for v in constraint_vars(c)]
+        vs += [v for a in self.gamma + self.delta for v in atom_base_vars(a)]
+        return tuple(dict.fromkeys(vs))
 
     def free_vars(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for a in self.gamma + self.delta:
-            for v in atom_free_vars(a):
-                if v not in out:
-                    out.append(v)
-        return tuple(out)
+        return tuple(dict.fromkeys(v for a in self.gamma + self.delta for v in atom_free_vars(a)))
 
     def skolems(self) -> frozenset[str]:
         s: frozenset[str] = frozenset()
@@ -470,6 +446,20 @@ class Clause:
         gam = "; ".join(str(a) for a in self.gamma)
         dlt = "; ".join(str(a) for a in self.delta)
         return f"[{lam}] [{gam}] -> [{dlt}]"
+
+
+def _two_sided(lam: Iterable[Constraint]) -> set[str]:
+    """Variables with both a lower and an upper rational bound in ``lam``;
+    every x - y cmp c of a bd clause needs both on x and on y."""
+    lower: set[str] = set()
+    upper: set[str] = set()
+    for c in lam:
+        if isinstance(c, VarConst) and c.bound.is_rational:
+            if c.rel in (Relation.GE, Relation.GT, Relation.EQ):
+                lower.add(c.var)
+            if c.rel in (Relation.LE, Relation.LT, Relation.EQ):
+                upper.add(c.var)
+    return lower & upper
 
 
 class SortDisciplineError(ValueError):
@@ -518,6 +508,7 @@ class ClauseSet:
 
     def _validate_clause(self, cl: Clause, declared_sk: set[str]) -> None:
         base = set(cl.base_vars())
+        bounded: set[str] | None = None  # built at the clause's first guarded x - y
         for c in cl.lam:
             if isinstance(c, DiffConst) and self.mode == MODE_SLR:
                 raise FragmentError(f"difference constraint {c} is not allowed in slr mode")
@@ -531,7 +522,13 @@ class ClauseSet:
                 if sk not in declared_sk:
                     raise SortDisciplineError(f"undeclared Skolem constant {sk!r}")
             if isinstance(c, DiffConst) and c.var != c.other and self.mode == MODE_BD:
-                self._check_guard(cl, c)
+                if bounded is None:
+                    bounded = _two_sided(cl.lam)
+                for v in (c.var, c.other):
+                    if v not in bounded:
+                        raise GuardViolationError(
+                            f"difference constraint {c} needs two-sided bounds on {v!r}"
+                        )
         for a in cl.gamma + cl.delta:
             if isinstance(a, PredAtom):
                 if a.pred not in self.signature:
@@ -559,18 +556,3 @@ class ClauseSet:
                 for t in (a.left, a.right):
                     if t.is_const and t.name not in self.fconsts:
                         raise SortDisciplineError(f"undeclared free constant {t.name!r}")
-
-    def _check_guard(self, cl: Clause, c: DiffConst) -> None:
-        """Every x - y cmp c needs lower and upper constant bounds on x and y."""
-        for v in (c.var, c.other):
-            lower = upper = False
-            for other in cl.lam:
-                if isinstance(other, VarConst) and other.var == v and other.bound.is_rational:
-                    if other.rel in (Relation.GE, Relation.GT, Relation.EQ):
-                        lower = True
-                    if other.rel in (Relation.LE, Relation.LT, Relation.EQ):
-                        upper = True
-            if not (lower and upper):
-                raise GuardViolationError(
-                    f"difference constraint {c} needs two-sided bounds on {v!r}"
-                )

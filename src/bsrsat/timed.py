@@ -374,7 +374,10 @@ def bound_clocks(cs: ClauseSet, kappa: int) -> ClauseSet:
 def encode_reachability(
     aut: TimedAutomaton, query: ReachQuery, lam: int | None = None
 ) -> ClauseSet:
-    """BSR(BD) clause set that is unsatisfiable iff the query is reachable."""
+    """BSR(BD) clause set that is unsatisfiable iff the query is reachable.
+
+    The result is not validated here: ``normalize`` validates the clause set
+    it is given, so the encoding is checked where it enters the pipeline."""
     aut.validate()
     if query.location not in aut.locations:
         raise TimedAutomatonError(f"unknown goal location {query.location!r}")
@@ -385,9 +388,7 @@ def encode_reachability(
     cs = lower_delay_clauses(encode_fol_la(aut), lam)
     goal = Clause.make(list(query.constraint.atoms), [reach_atom(query.location, aut.clocks)], [])
     cs.clauses.append(goal)
-    out = bound_clocks(cs, lam + 1)
-    out.validate()
-    return out
+    return bound_clocks(cs, lam + 1)
 
 
 # --- region-graph oracle ---------------------------------------------------

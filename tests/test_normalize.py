@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bsrsat import corpus
+from bsrsat import corpus, decide as decide_mod, normalize as normalize_mod
 from bsrsat.decide import decide, naive_decide
 from bsrsat.normalize import (
     NormalFormError,
@@ -17,7 +17,7 @@ from bsrsat.normalize import (
     split_ground_terms,
     validate_normal_form,
 )
-from bsrsat.parser import parse_clause_set
+from bsrsat.parser import parse_clause_set, parse_goal, parse_ta
 from bsrsat.terms import (
     Clause,
     ClauseSet,
@@ -32,6 +32,19 @@ from bsrsat.terms import (
     SkolemDef,
     VarConst,
     VarVar,
+)
+from bsrsat.timed import encode_reachability
+
+# Three clocks at default lambda 3: goal l2: y < 1 is reachable, l2: y - w > 0
+# is not.
+THREE_CLOCKS = parse_ta(
+    """clocks x y w
+loc l0 init inv x <= 1
+loc l1 inv true
+loc l2 inv true
+trans l0 -> l1 guard x >= 1 reset {y}
+trans l1 -> l2 guard w > 1 reset {x}
+"""
 )
 
 
@@ -258,6 +271,18 @@ def test_normalize_validates_output_on_generated_sets():
         validate_normal_form(n)
         k = len(n.def_clauses())
         assert all(cl.is_def_clause() for cl in n.clauses[:k])
+    # normalize and encode_reachability leave their output unchecked, so check
+    # it here: the benchmark's first clause-set draws ...
+    rng = random.Random(1706)
+    for i in range(200):
+        validate_normal_form(normalize((corpus._raw_bd if i % 2 == 0 else corpus._raw_slr)(rng)))
+    # ... the first 20 automata of its timed pool, and both three-clock goals
+    goals = corpus.timed_instances(0, 20)
+    goals += [(THREE_CLOCKS, parse_goal(g, THREE_CLOCKS)) for g in ("l2: y < 1", "l2: y - w > 0")]
+    for aut, goal in goals:
+        encoded = encode_reachability(aut, goal)
+        encoded.validate()
+        validate_normal_form(normalize(encoded))
 
 
 def test_normalize_adds_free_constant_when_absent():
@@ -337,6 +362,36 @@ def test_normalize_lists_definitional_clauses_first():
     n = normalize(slr_set(cls, {"P": (0, 1)}, skolems=("d",)))
     kinds = [cl.is_def_clause() for cl in n.clauses]
     assert kinds == [True, False, False]
+
+
+def test_each_user_path_checks_a_clause_set_once_per_boundary(monkeypatch):
+    calls = {"validate": 0, "normal_form": 0}
+    validate, normal_form = ClauseSet.validate, validate_normal_form
+
+    def counted_validate(cs):
+        calls["validate"] += 1
+        validate(cs)
+
+    def counted_normal_form(cs):
+        calls["normal_form"] += 1
+        normal_form(cs)
+
+    monkeypatch.setattr(ClauseSet, "validate", counted_validate)
+    monkeypatch.setattr(normalize_mod, "validate_normal_form", counted_normal_form)
+    monkeypatch.setattr(decide_mod, "validate_normal_form", counted_normal_form)
+
+    # normalize checks the encoding, decide checks the normal form
+    ((aut, goal),) = corpus.timed_instances(0, 1)
+    decide(normalize(encode_reachability(aut, goal)))
+    assert calls == {"validate": 2, "normal_form": 1}
+
+    # and the parser checks the text it parsed
+    calls.update(validate=0, normal_form=0)
+    decide(normalize(parse_clause_set(
+        "mode bd\npred P : S^1 R^2\nfreeconst a\n"
+        "clause [x >= 0; x <= 2; y >= 0; y <= 2; x - y < 1] [] -> [P(a, x, y)]\n"
+    )))
+    assert calls == {"validate": 3, "normal_form": 1}
 
 
 @pytest.mark.parametrize("solver", [decide, naive_decide])

@@ -5,6 +5,7 @@ exit 0 and report no broken round trip, census mismatch or disagreement.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,7 @@ def test_stream_digest_prints_normal_digest():
 def test_decide_pool_lists_the_costliest_draws():
     lines = run_script(["decide_pool.py", "--count", "6"])
     assert lines[0].startswith("decide 6 sets: ")
+    assert re.fullmatch(r"encode and normalize 6 sets: \d+\.\d\ds", lines[1])
     listed = [line.split() for line in lines[lines.index("costliest 6:") + 1:]]
     assert len(listed) == 6
     assert {row[0] for row in listed} == {f"bsr:{i}" for i in range(6)}

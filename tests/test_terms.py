@@ -184,15 +184,42 @@ def test_clause_set_validate_bd_guard():
     cs.validate()
 
 
-def test_clause_set_validate_rejects_unguarded_diff():
-    bare = Clause.make(
-        [DiffConst("x", "y", Relation.LT, 1)],
-        [],
-        [atom("P", "x", "y")],
-    )
-    cs = ClauseSet(MODE_BD, [bare], sig(P=(0, 2)), fconsts=["a"])
-    with pytest.raises(GuardViolationError):
+def _bounds(var, *rels):
+    return [VarConst(var, Relation(r), GroundTerm.constant(q)) for r, q in rels]
+
+
+@pytest.mark.parametrize(
+    "lam, message",
+    [
+        ([DiffConst("x", "y", Relation.LT, 1)], "x - y < 1 needs two-sided bounds on 'x'"),
+        (
+            _bounds("x", (">=", 0), ("<=", 1)) + _bounds("y", (">=", 0))
+            + [DiffConst("x", "y", Relation.LT, 1)],
+            "x - y < 1 needs two-sided bounds on 'y'",
+        ),
+        (
+            _bounds("x", (">=", 0), ("<=", 1)) + _bounds("y", (">", 0), ("<", 1))
+            + [DiffConst("x", "y", Relation.LT, 1), DiffConst("x", "z", Relation.LT, 1)],
+            "x - z < 1 needs two-sided bounds on 'z'",
+        ),
+        (
+            [DiffConst("x", "x", Relation.LT, 1), DiffConst("x", "y", Relation.LT, 1)],
+            "x - y < 1 needs two-sided bounds on 'x'",
+        ),
+        (
+            _bounds("x", ("=", 0)) + _bounds("y", (">=", 0))
+            + [DiffConst("x", "y", Relation.LT, 1)],
+            "x - y < 1 needs two-sided bounds on 'y'",
+        ),
+    ],
+    ids=["bare", "y_lacks_upper", "second_of_two", "self_difference_unguarded", "eq_is_two_sided"],
+)
+def test_clause_set_validate_rejects_unguarded_diff(lam, message):
+    cl = Clause.make(lam, [], [atom("P", "x", "y", "z")])
+    cs = ClauseSet(MODE_BD, [cl], sig(P=(0, 3)), fconsts=["a"])
+    with pytest.raises(GuardViolationError) as err:
         cs.validate()
+    assert str(err.value) == f"difference constraint {message}"
 
 
 def test_clause_set_validate_rejects_diff_in_slr():
