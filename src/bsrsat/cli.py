@@ -244,7 +244,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    ap = _build_parser()
+    args = ap.parse_args(argv)
+    if args.command == "regions" and args.mode == "slr" and args.bounded:
+        ap.error("argument --bounded: not allowed with --mode slr")
+    if args.command == "regions" and args.mode == "bd" and args.points:
+        ap.error("argument --points: not allowed with --mode bd")
     try:
         return args.fn(args)
     except ParseError as err:

@@ -362,29 +362,16 @@ def enumerate_preorders(skolems, rationals=()):
     """Ordered partitions of the base constants, rational-order consistent.
 
     Elements are skolem names and rational values; distinct rationals
-    occupy distinct blocks in ascending order.  Built, not filtered: the
-    Skolems are partitioned first, then each rational, from the largest
-    down, joins a block before the block of the next larger one or opens a
-    new block no later than it.  That is the order in which
+    occupy distinct blocks in ascending order.  Built, not filtered: one
     ``ordered_set_partitions`` over the rationals (ascending) and then the
-    Skolems yields the partitions that keep the rationals in order.
+    Skolems, each rational held in a block before the next larger one's, so
+    a partial placement out of order is cut with all its extensions.
     """
-    parts = ordered_set_partitions(tuple(sorted(set(skolems))))
-    rats = sorted(set(rationals), reverse=True)
-    for r, larger in zip(rats, [None] + rats):
-        parts = _place_rational(parts, r, larger)
-    return parts
-
-
-def _place_rational(parts, r, larger):
-    # the blocks before larger's (all of them when larger is None) hold no
-    # rational, as the rationals placed so far are in order
-    for part in parts:
-        end = next((i for i, block in enumerate(part) if larger in block), len(part))
-        for i in range(end):
-            yield part[:i] + ((r,) + part[i],) + part[i + 1:]
-        for i in range(end + 1):
-            yield part[:i] + ((r,),) + part[i:]
+    rats = sorted(set(rationals))
+    signs = {}
+    for r, q in zip(rats, rats[1:]):
+        signs[r, q], signs[q, r] = (-1,), (1,)
+    return ordered_set_partitions((*rats, *sorted(set(skolems))), signs)
 
 
 def _gterm(e) -> GroundTerm:

@@ -40,24 +40,23 @@ their common denominator.
 
 Premise constraints compile to checks on cells (``compile_checks``), and
 ``check_holds`` decides one on a class.  The enumerators take a premise's
-checks and yield only the classes on which all of them hold.  Bounds read
-one cell, so they are settled per coordinate before the loops
-(``_admitted``).  The slr enumerator decides var-var checks once the value
-order is chosen.  The bd unbounded enumerator first closes the convex checks
-(all but ``!=``) into a zone, a difference-bound matrix: its bounds join the
-constant bounds, and between in-range coordinates it bounds the floor
-differences (``_bands``), which decides those pair checks.  A zero set
-(the in-range coordinates whose fractional part vanishes) fixes the rank
-relation of every pair with a coordinate in it, so one that leaves such a
-pair an empty band is skipped before its fractional orders are walked.
-Floors are placed level-wise (``_floor_tuples``): the admitted floor
-prefixes grow one coordinate at a time, the bands clipping each next floor
-to one interval.  ``check_holds`` decides the ``!=`` pair checks as their
-floors are placed, and the var-var checks over a coordinate beyond
-+/-kappa as the value order there is chosen.  A difference is
-class-determined only in range, so a difference check whose coordinates the
-constant bounds do not hold within +/-kappa raises ``FragmentError`` before
-the first class.
+checks and yield only the classes on which all of them hold, in the order
+of the full stream.  Bounds read one cell, so they are settled per
+coordinate before the loops (``_admitted``).  Order relations between
+coordinates become signs that cut the ordered partitions as they are built
+(``ordered_set_partitions``).  Slr takes them from its var-var checks.  Bd
+unbounded first closes the convex checks (all but ``!=``) into a zone, a
+difference-bound matrix.  Its bounds join the constant bounds; between
+in-range coordinates it bounds the floor differences (``_bands``), and its
+signs are the rank comparisons that leave a pair some floor difference.
+They cut the zero sets (the in-range coordinates whose fractional part
+vanishes) and the fractional orders, and the floors are placed level-wise
+within the bands (``_floor_tuples``).  ``check_holds`` decides the ``!=``
+pair checks as their floors are placed, and the var-var checks over a
+coordinate beyond +/-kappa as the value order there is chosen.  A
+difference is class-determined only in range, so a difference check whose
+coordinates the constant bounds do not hold within +/-kappa raises
+``FragmentError`` before the first class.
 """
 
 from __future__ import annotations
@@ -178,21 +177,32 @@ def scale(q: Fraction, d: int) -> int:
     return n
 
 
-def ordered_set_partitions(items: Sequence) -> Iterator[tuple[tuple, ...]]:
-    """All ordered partitions of items into nonempty blocks.
+def ordered_set_partitions(items: Sequence, signs=None) -> Iterator[tuple[tuple, ...]]:
+    """All ordered partitions of items into nonempty blocks; with ``signs``,
+    those on which each pair (x, y) it maps compares x's block with y's as
+    admitted: -1 (before), 0 (same block), 1 (after).  ``signs`` holds each
+    pair in both orientations, as negations of each other.
 
-    Items are placed one at a time; each partial result either extends an
-    existing block or opens a new block at any position, which generates every
-    ordered partition exactly once.
+    Items are placed from the last to the first; each partial result either
+    extends a block or opens a new block at any position, which generates
+    every ordered partition exactly once.  A placement keeps the block order
+    of the items placed before it, so a partial result that breaks a pair is
+    cut with all its extensions, and the survivors keep their order.
     """
     if not items:
         yield ()
         return
     first, rest = items[0], items[1:]
-    for part in ordered_set_partitions(rest):
-        for i in range(len(part)):
+    ties = [(y, signs[first, y]) for y in rest if (first, y) in signs] if signs else ()
+    for part in ordered_set_partitions(rest, signs):
+        join, new = range(len(part)), range(len(part) + 1)
+        for y, s in ties:
+            p = next(i for i, block in enumerate(part) if y in block)
+            join = [i for i in join if _cmp(i, p) in s]
+            new = [i for i in new if (1 if i > p else -1) in s]
+        for i in join:
             yield part[:i] + ((first,) + part[i],) + part[i + 1:]
-        for i in range(len(part) + 1):
+        for i in new:
             yield part[:i] + ((first,),) + part[i:]
 
 
@@ -285,22 +295,24 @@ def enumerate_slr_classes(
     ``checks`` (from ``compile_checks``) prune the stream without changing
     its order.  Bounds are settled per coordinate before the loops: a block
     takes only the intervals admitted for all of its coordinates.  Var-var
-    checks are decided once the ordered partition is chosen.  The classes
+    checks become the signs that cut the ordered partitions.  The classes
     skipped are exactly those on which some check fails.
     """
     _require_sizes(arity)
     intervals = [(None, iv) for iv in range(partition.interval_count)]
     admitted = [{iv for _, iv in _admitted(c, intervals, checks)} for c in range(arity)]
-    for part in ordered_set_partitions(tuple(range(arity))):
-        # Until the intervals are placed a cell holds only its block index,
-        # which alone orders the coordinates.
-        cells: list = [None] * arity
+    signs: dict = {}
+    for kind, rel, i, j, *_ in checks:
+        if kind == "varvar" and i == j and not rel.holds(0, 0):
+            return  # a coordinate against itself: no pair, and no class
+        if kind == "varvar" and i != j:
+            held = [s for s in signs.get((i, j), (-1, 0, 1)) if rel.holds(s, 0)]
+            signs[i, j], signs[j, i] = held, [-s for s in held]
+    for part in ordered_set_partitions(tuple(range(arity)), signs):
+        block_of = [0] * arity
         for bi, block in enumerate(part):
             for c in block:
-                cells[c] = (bi, None)
-        if not all(check_holds(ch, cells) for ch in checks if ch[0] == "varvar"):
-            continue
-        block_of = [b for b, _ in cells]
+                block_of[c] = bi
         per_block = [sorted(set.intersection(*(admitted[c] for c in block))) for block in part]
         for idxs in _interval_assignments(per_block):
             yield RegionClass(tuple((b, idxs[b]) for b in block_of), FAMILY_SLR)
@@ -442,23 +454,15 @@ def enumerate_bd_unbounded(
     ``checks`` (from ``compile_checks``) prune the stream without changing
     its order; the classes skipped are exactly those on which some check
     fails.  A coordinate takes only the buckets and floors its bounds admit
-    (``_admitted``), with the bounds that closing the convex checks into a
-    zone derives (``_zone``); an empty zone yields nothing.  Once the
-    fractional structure is fixed, the zone bounds the floor differences of
-    in-range pairs (``_bands``): a structure that leaves some pair no
-    difference is skipped, and each floor keeps to the bands of the floors
-    placed before it (``_floor_tuples``, level-wise).  The zero set alone
-    fixes the rank relation of a pair with a vanishing fractional part
-    (both rank 0, or rank 0 below every positive rank), so a zero set that
-    leaves such a pair no difference is skipped before its fractional
-    orders are walked (``_zero_set_open``).  That decides every check
-    between in-range coordinates but ``!=``, which ``check_holds`` decides
-    once both floors are placed; it decides a var-var check over a
-    coordinate beyond +/-kappa once the value order there is chosen.
-
-    Guards are static: a difference check between coordinates that their
-    constant bounds do not hold within +/-kappa raises ``FragmentError``
-    before the first class.
+    (``_admitted``), with the bounds of the zone (``_zone``); an empty zone
+    yields nothing.  Per bucket choice, the pairs of in-range coordinates
+    with an empty band (``_bands``) give the signs that the zero set
+    (``_zero_set_open``) and the fractional order (``ordered_set_partitions``)
+    keep to, so every order built leaves each pair a band, within which
+    ``_floor_tuples`` places the floors.  ``check_holds`` filters the value
+    order beyond +/-kappa.  A difference check between coordinates that
+    their constant bounds do not hold within +/-kappa raises
+    ``FragmentError`` before the first class.
     """
     _require_sizes(arity, kappa)
     coords = tuple(range(arity))
@@ -512,6 +516,12 @@ def enumerate_bd_unbounded(
             for p, a in enumerate(inside[:k])
             if (a, b) in bands
         ]
+        # the rank comparisons that leave a pair with an empty band a band
+        signs = {}
+        for _, _, a, b, band in pairs:
+            held = [s for s in (-1, 0, 1) if band[s + 1][0] <= band[s + 1][1]]
+            if len(held) < 3:
+                signs[b, a], signs[a, b] = held, [-s for s in held]
         unlimited = [()] * len(inside)
         # per coordinate its fractional rank, once the zero set and the
         # fractional order are chosen
@@ -528,18 +538,16 @@ def enumerate_bd_unbounded(
                     continue
                 for zero in _subsets(inside):
                     ranges = [floor_opts[c][c in zero] for c in inside]
-                    if not all(ranges) or not _zero_set_open(pairs, zero):
+                    if not all(ranges) or not _zero_set_open(signs, zero):
                         continue
                     nonzero = tuple(c for c in inside if c not in zero)
                     for c in zero:
                         ranks[c] = 0
-                    for part in ordered_set_partitions(nonzero):
+                    for part in ordered_set_partitions(nonzero, signs):
                         for rank, block in enumerate(part, start=1):
                             for c in block:
                                 ranks[c] = rank
                         limits = _floor_limits(pairs, ranks, len(inside)) if pairs else unlimited
-                        if limits is None:
-                            continue
                         for floors in _floor_tuples(inside, ranges, ranks, cells, limits, staged):
                             for c, f in zip(inside, floors):
                                 cells[c] = (BUCKET_IN, f, ranks[c])
@@ -681,32 +689,24 @@ def _stage_bd_checks(checks, inside):
     return outer, staged
 
 
-def _zero_set_open(pairs, zero) -> bool:
-    """Whether no pair with a vanishing fractional part has an empty band.
-    The zero set alone fixes the rank relation of such a pair: both rank 0,
-    or rank 0 lies below every positive rank.  So an empty band there makes
-    ``_floor_limits`` reject every fractional order of the zero set."""
-    for _, _, a, b, band in pairs:
-        za, zb = a in zero, b in zero
-        if za or zb:
-            lo, hi = band[za - zb + 1]
-            if lo > hi:
-                return False
-    return True
+def _zero_set_open(signs, zero) -> bool:
+    """Whether every pair with a vanishing fractional part keeps to its
+    ``signs``: the zero set alone fixes its rank relation, both rank 0 or
+    rank 0 below every positive rank."""
+    return all((b in zero) - (a in zero) in held
+               for (a, b), held in signs.items() if a in zero or b in zero)
 
 
-def _floor_limits(pairs, ranks, n: int):
+def _floor_limits(pairs, ranks, n: int) -> list[list[tuple]]:
     """Per in-range position k < n, the (p, lo, hi) for which the band of
     the pair at positions p < k confines f_k - f_p to [lo, hi] under these
-    ranks; None when some band is empty.  ``pairs`` lists (p, k, a, b,
-    band) for the coordinates a and b at positions p and k."""
+    ranks.  ``pairs`` lists (p, k, a, b, band) for the coordinates a and b
+    at positions p and k.  No band is empty here: the zero set and the
+    fractional order keep every pair to its signs."""
     limits: list[list[tuple]] = [[] for _ in range(n)]
     for p, k, a, b, band in pairs:
         ra, rb = ranks[a], ranks[b]
-        lo, hi = band[(rb > ra) - (rb < ra) + 1]
-        if lo > hi:
-            return None
-        limits[k].append((p, lo, hi))
+        limits[k].append((p, *band[(rb > ra) - (rb < ra) + 1]))
     return limits
 
 

@@ -244,6 +244,18 @@ class TestUsageErrors:
         assert out == ""
         assert "error: argument --" in err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("--mode", "slr", "--bounded"), "--bounded"),
+        (("--mode", "bd", "--points", "1,2"), "--points"),
+    ])
+    def test_flag_of_the_other_mode(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["regions", "--arity", "1", *argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: argument {flag}: not allowed with --mode" in err
+
 
 def test_module_entry_point(files):
     proc = subprocess.run(

@@ -9,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsrsat import corpus, regions
-from bsrsat.decide import _class_ok, _contexts
+from bsrsat.decide import _class_ok, _contexts, _plan
 from bsrsat.normalize import normalize
 from bsrsat.regions import (
     PartitionJ,
+    check_holds,
     class_of_bd,
     compile_checks,
     enumerate_bd_unbounded,
@@ -33,6 +34,7 @@ from bsrsat.terms import (
     VarVar,
     eval_constraint,
 )
+from bsrsat.timed import default_lambda, encode_reachability
 
 RELS = st.sampled_from(list(Relation))
 LOWER = st.sampled_from([Relation.GE, Relation.GT, Relation.EQ])
@@ -128,6 +130,17 @@ CHAIN = (3, 2, _guarded("x0", "x1", -2, 2) + _guarded("x1", "x2", -2, 2)
 EMPTY_CHAIN = (CHAIN[0], CHAIN[1], CHAIN[2] + _diffs(("x0", "x2", Relation.LT, 2)))
 
 
+def _self_pairs(rel):
+    """x0 rel x0 on a coordinate of any bucket and x1 rel x1 on one above
+    kappa 1 (slr: beyond the last point 1)."""
+    return [VarConst("x1", Relation.GT, GroundTerm.constant(Fraction(1))),
+            VarVar("x0", rel, "x0"), VarVar("x1", rel, "x1")]
+
+
+SELF_PAIR_RELS = (Relation.LT, Relation.NEQ, Relation.LE)
+P01 = PartitionJ.make([0, 1])
+
+
 # The bd draws are fixed: one at arity 4 and kappa 3 streams 282,781
 # classes, so fresh draws would swing the run time by tens of seconds.  The
 # examples make the zone closure bite: derived bounds, derived pair
@@ -146,6 +159,9 @@ EMPTY_CHAIN = (CHAIN[0], CHAIN[1], CHAIN[2] + _diffs(("x0", "x2", Relation.LT, 2
 @example((3, 2, _guarded("x0", "x1", -2, 2) + _guarded("x2", "x2", -1, 1)
           + [VarVar("x0", Relation.NEQ, "x1")]
           + _diffs(("x2", "x0", Relation.GE, -1), ("x1", "x2", Relation.LT, 1))))
+@example((2, 1, _self_pairs(Relation.LT)))
+@example((2, 1, _self_pairs(Relation.NEQ)))
+@example((2, 1, _self_pairs(Relation.LE)))
 def test_bd_pruned_stream_filters_like_full_stream(premise):
     arity, kappa, cons = premise
     vidx = {v: i for i, v in enumerate(_names(arity))}
@@ -173,6 +189,9 @@ def test_bd_bound_pruned_stream_keeps_every_admitted_class(premise):
 
 @settings(max_examples=60, deadline=None)
 @given(slr_premises())
+@example((2, P01, {}, _self_pairs(Relation.LT)))
+@example((2, P01, {}, _self_pairs(Relation.NEQ)))
+@example((2, P01, {}, _self_pairs(Relation.LE)))
 def test_slr_pruned_stream_filters_like_full_stream(premise):
     arity, partition, gamma, cons = premise
     vidx = {v: i for i, v in enumerate(_names(arity))}
@@ -246,6 +265,42 @@ def test_corpus_clauses_pruned_stream_filters_like_full_stream(raw):
                 )
 
 
+@pytest.mark.parametrize("rel", SELF_PAIR_RELS, ids=lambda rel: rel.name)
+def test_a_check_of_a_coordinate_against_itself_holds_on_every_class_or_none(rel):
+    # < and != stream nothing, <= every class that the bound on x1 admits
+    cons = _self_pairs(rel)
+    vidx = {"x0": 0, "x1": 1}
+
+    def bd(part):
+        return list(enumerate_bd_unbounded(2, 1, compile_checks(MODE_BD, part, vidx)))
+
+    def slr(part):
+        return list(enumerate_slr_classes(2, P01, compile_checks(MODE_SLR, part, vidx, {}, P01)))
+
+    for stream in (bd, slr):
+        bounded = stream(cons[:1])
+        assert bounded
+        assert stream(cons) == (bounded if rel is Relation.LE else [])
+
+
+def test_timed_pruned_streams_yield_only_classes_their_checks_admit():
+    # Every class that a pruned stream yields passes every premise check of
+    # its clause, over every clause and context of the first 20 automata of
+    # the benchmark's timed pool: what ``decide._class_ok`` re-judges.
+    classes = 0
+    for aut, goal in corpus.timed_instances(0, 20):
+        cs = normalize(encode_reachability(aut, goal, default_lambda(aut, goal)))
+        for ctx in _contexts(cs, SolveStats()):
+            for cl in cs.clauses:
+                plan = _plan(ctx, cl)
+                if plan is None:
+                    continue
+                for cls in ctx.classes(len(plan.bvars), plan.checks):
+                    assert all(check_holds(ch, cls.cells) for ch in plan.checks), (cl, cls)
+                    classes += 1
+    assert classes == 19519
+
+
 def _checks(arity, cons):
     return compile_checks(MODE_BD, cons, {v: i for i, v in enumerate(_names(arity))})
 
@@ -305,8 +360,10 @@ def test_bound_beyond_kappa_is_a_fragment_error_before_any_class():
 def test_zero_sets_with_an_empty_band_skip_their_fractional_orders(monkeypatch):
     # x0 - x2 = -1 and x1 - x3 = -1 tie the fractional parts of x0, x2 and
     # of x1, x3, so only the zero sets {}, {x0, x2}, {x1, x3} and all four
-    # leave every band of a vanishing fractional part open: 75 + 3 + 3 + 1
-    # fractional orders reach the floor limits, of 150 in all.
+    # leave every band of a vanishing fractional part open, and within them
+    # only the 3 + 1 + 1 + 1 fractional orders that keep each tied pair in
+    # one block are built.  Each of them reaches the floor limits, where
+    # filtering built orders would make 75 + 3 + 3 + 1 calls, of 150 orders.
     names = _names(4)
     cons = [VarConst(v, rel, GroundTerm.constant(Fraction(c)))
             for v in names for rel, c in ((Relation.GE, 0), (Relation.LT, 2))]
@@ -322,6 +379,6 @@ def test_zero_sets_with_an_empty_band_skip_their_fractional_orders(monkeypatch):
 
     monkeypatch.setattr(regions, "_floor_limits", counted)
     stream = list(enumerate_bd_unbounded(4, 2, checks))
-    assert len(calls) <= 82
+    assert len(calls) <= 6
     assert len(stream) == 4
     assert stream == [c for c in enumerate_bd_unbounded(4, 2) if _class_ok(c, checks)]

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsrsat.regions import (
@@ -43,8 +43,39 @@ P0 = PartitionJ.make([0])
 
 def test_ordered_set_partitions_counts_are_fubini():
     # ordered Bell numbers
-    for n, want in [(0, 1), (1, 1), (2, 3), (3, 13), (4, 75)]:
+    for n, want in [(0, 1), (1, 1), (2, 3), (3, 13), (4, 75), (5, 541)]:
         assert len(list(ordered_set_partitions(range(n)))) == want
+        assert len(list(ordered_set_partitions(range(n), None))) == want
+
+
+@st.composite
+def signed_items(draw):
+    """Up to five items, and per unordered pair either no signs or a subset
+    of {-1, 0, 1}, given in both orientations."""
+    items = "abcde"[:draw(st.integers(0, 5))]
+    signs = {}
+    for x, y in itertools.combinations(items, 2):
+        held = draw(st.none() | st.sets(st.sampled_from((-1, 0, 1))))
+        if held is not None:
+            signs[x, y], signs[y, x] = held, {-s for s in held}
+    return items, signs
+
+
+def _keeps_signs(part, signs) -> bool:
+    block = {x: i for i, b in enumerate(part) for x in b}
+    return all((block[x] > block[y]) - (block[x] < block[y]) in held
+               for (x, y), held in signs.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_items())
+@example(("abcd", {}))
+@example(("abc", {("a", "c"): {0}, ("c", "a"): {0}, ("b", "c"): {1}, ("c", "b"): {-1}}))
+@example(("ab", {("a", "b"): set(), ("b", "a"): set()}))
+def test_signed_partitions_are_the_filtered_partitions_in_order(case):
+    items, signs = case
+    want = [part for part in ordered_set_partitions(items) if _keeps_signs(part, signs)]
+    assert list(ordered_set_partitions(items, signs)) == want
 
 
 def test_ordered_set_partitions_cover_exactly():
