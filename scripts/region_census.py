@@ -68,6 +68,10 @@ def main() -> int:
     ap.add_argument("--bounded", action="store_true")
     ap.add_argument("--step", type=int, default=16, help="grid step 1/STEP")
     args = ap.parse_args()
+    if args.mode == "slr" and args.bounded:
+        ap.error("argument --bounded: not allowed with --mode slr")
+    if args.mode == "bd" and args.points:
+        ap.error("argument --points: not allowed with --mode bd")
 
     rows = slr_rows(args) if args.mode == "slr" else bd_rows(args)
     bad = 0

@@ -29,7 +29,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterator, NamedTuple
 
 from .linarith import GroundSystem, solve_ground
@@ -105,22 +105,28 @@ class PropAtom(NamedTuple):
 
 @dataclass
 class InterpretationDescriptor:
-    """A candidate uniform interpretation, complete enough to re-verify.
+    """A candidate uniform interpretation, complete enough to re-verify:
+    the arithmetic context it was found in and its predicate table.
 
     The predicate table is total on the atoms that occurred during
     grounding; atoms never touched by any clause instance default to
-    false, which is sound because no clause constrains them.
+    false, which is sound because no clause constrains them.  The class
+    numbering and the legend are derived from the table when read.
     """
 
-    mode: str
+    ctx: _Context
     domain: tuple[str, ...]
     fconst_assign: dict[str, str]
-    gamma: dict[str, Fraction]
     table: dict[PropAtom, bool]
-    kappa: int | None
-    partition: PartitionJ | None
-    class_index: dict
-    class_reps: dict[int, tuple[Fraction, ...]]
+
+    @property
+    def gamma(self) -> dict[str, Fraction]:
+        return self.ctx.gamma
+
+    @cached_property
+    def class_index(self) -> dict:
+        classes = sorted({a.cls for a in self.table}, key=lambda c: (c.arity, c.sort_key()))
+        return {c: i for i, c in enumerate(classes)}
 
     def table_lines(self) -> list[str]:
         order = sorted(
@@ -134,14 +140,15 @@ class InterpretationDescriptor:
 
     def legend_lines(self) -> list[str]:
         return [
-            f"class#{i} rep: ({', '.join(str(v) for v in rep)})"
-            for i, rep in sorted(self.class_reps.items())
+            f"class#{i} rep: ({', '.join(str(v) for v in self.ctx.rep(cls))})"
+            for cls, i in self.class_index.items()
         ]
 
 
 # --- grounding context ------------------------------------------------------
 
 
+@dataclass
 class _Context:
     """One fully fixed arithmetic side: mode plus gamma plus kappa/partition.
 
@@ -158,11 +165,10 @@ class _Context:
     oracle; ``scaled`` gives ``verify_model`` their integer forms.
     """
 
-    def __init__(self, mode, gamma, kappa=None, partition=None):
-        self.mode = mode
-        self.gamma = gamma
-        self.kappa = kappa
-        self.partition = partition
+    mode: str
+    gamma: dict[str, Fraction]
+    kappa: int | None = None
+    partition: PartitionJ | None = None
 
     def classes(self, arity: int, checks=()) -> Iterator:
         if self.mode == MODE_SLR:
@@ -474,23 +480,6 @@ def _growth_strings(n: int, k: int, prefix: tuple[int, ...] = ()):
 # --- deciding ---------------------------------------------------------------
 
 
-def _descriptor_from_table(ctx: _Context, domain, assign, table):
-    classes = sorted({a.cls for a in table}, key=lambda c: (c.arity, c.sort_key()))
-    class_index = {c: i for i, c in enumerate(classes)}
-    reps = {i: ctx.rep(c) for c, i in class_index.items()}
-    return InterpretationDescriptor(
-        ctx.mode,
-        tuple(domain),
-        dict(assign),
-        dict(ctx.gamma),
-        dict(table),
-        ctx.kappa,
-        ctx.partition,
-        class_index,
-        reps,
-    )
-
-
 def decide(
     cs: ClauseSet,
     *,
@@ -531,7 +520,7 @@ def _decide_inner(cs, stats, counters, max_candidates) -> ResultReport:
             if model is None:
                 continue
             table = {PropAtom._make(atom): model[vid] for atom, vid in atom_ids.items()}
-            desc = _descriptor_from_table(ctx, domain, assign, table)
+            desc = InterpretationDescriptor(ctx, domain, assign, table)
             if not verify_model(cs, desc):
                 raise RuntimeError(
                     "internal error: candidate model failed semantic re-verification"
@@ -562,7 +551,7 @@ def verify_model(cs: ClauseSet, desc: InterpretationDescriptor) -> bool:
     scaled once per component (``_scaled_premise``).  No ``Fraction`` is
     built per class: rationals stay in ``gamma`` and in the model's legend.
     """
-    ctx = _Context(desc.mode, desc.gamma, kappa=desc.kappa, partition=desc.partition)
+    ctx = desc.ctx
     for cl in cs.clauses:
         plan = _plan(ctx, cl)
         if plan is None:
@@ -704,7 +693,7 @@ def naive_decide(cs: ClauseSet, *, atom_budget: int = 16) -> ResultReport:
                     continue
                 bits, t = found
                 table = {atom: bool(t >> b & 1) for atom, b in bits.items()}
-                desc = _descriptor_from_table(ctx, domain, assign, table)
+                desc = InterpretationDescriptor(ctx, domain, assign, table)
                 if not verify_model(cs, desc):
                     raise RuntimeError(
                         "internal error: naive model failed semantic re-verification"

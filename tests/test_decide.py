@@ -34,6 +34,7 @@ from bsrsat.report import (
     emit_result,
 )
 from bsrsat.terms import Clause, Equation, FreeTerm, GroundTerm, PredAtom, Relation, VarConst
+from test_golden_output import DECIDE_CASES
 
 
 def run(text):
@@ -474,6 +475,28 @@ def test_emit_human_report(sat_instance):
     assert text.startswith("status: SAT")
     assert "predicate table" in text
     assert "stats:" in text
+
+
+@pytest.mark.parametrize("name", sorted(DECIDE_CASES))
+def test_legend_is_built_when_printed_not_when_decided(name, monkeypatch):
+    # a SAT verdict carries its context and table; the class numbering and
+    # the legend's representatives are worked out only when the model is
+    # printed, and then print the golden text
+    text, want = DECIDE_CASES[name]
+    calls = 0
+    real = decide_mod.representative
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(decide_mod, "representative", counting)
+    r = run(text)
+    assert calls == 0
+    got = emit_result(r, "structured").splitlines()
+    assert [line for line in got if not line.startswith("stat wall ms:")] == want.splitlines()
+    assert calls == len(r.model.class_index)
 
 
 def test_emit_zero_filled_stats():

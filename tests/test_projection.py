@@ -15,7 +15,6 @@ import pytest
 from bsrsat import decide as decide_mod
 from bsrsat.corpus import _raw_bd, _raw_slr, flipped_descriptor, timed_instances
 from bsrsat.decide import (
-    _Context,
     _cases,
     _class_ok,
     _components,
@@ -52,7 +51,7 @@ def reference_verify(cs, desc) -> bool:
     """Whole-clause verification: every class of a clause's premise stream
     whose representative meets the premise, against every free assignment
     that no equation settles."""
-    ctx = _Context(desc.mode, desc.gamma, kappa=desc.kappa, partition=desc.partition)
+    ctx = desc.ctx
     for cl in cs.clauses:
         plan = _plan(ctx, cl)
         if plan is None:
@@ -124,7 +123,7 @@ def test_verify_agrees_with_whole_clause_reference_on_models_and_flips():
         if r.status != STATUS_SAT:
             continue
         models += 1
-        ctx = _Context(cs.mode, r.model.gamma, r.model.kappa, r.model.partition)
+        ctx = r.model.ctx
         split += sum(
             len(_components(plan, cl.lam)) > 1
             for cl in cs.clauses

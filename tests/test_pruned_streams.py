@@ -283,13 +283,12 @@ def test_a_check_of_a_coordinate_against_itself_holds_on_every_class_or_none(rel
         assert stream(cons) == (bounded if rel is Relation.LE else [])
 
 
-def test_timed_pruned_streams_yield_only_classes_their_checks_admit():
-    # Every class that a pruned stream yields passes every premise check of
-    # its clause, over every clause and context of the first 20 automata of
-    # the benchmark's timed pool: what ``decide._class_ok`` re-judges.
+def _admitted_stream_classes(sets) -> int:
+    """How many classes the pruned premise streams of the clause sets yield,
+    over every clause and context, asserting that each passes every premise
+    check of its clause: what ``decide._class_ok`` re-judges."""
     classes = 0
-    for aut, goal in corpus.timed_instances(0, 20):
-        cs = normalize(encode_reachability(aut, goal, default_lambda(aut, goal)))
+    for cs in sets:
         for ctx in _contexts(cs, SolveStats()):
             for cl in cs.clauses:
                 plan = _plan(ctx, cl)
@@ -298,7 +297,30 @@ def test_timed_pruned_streams_yield_only_classes_their_checks_admit():
                 for cls in ctx.classes(len(plan.bvars), plan.checks):
                     assert all(check_holds(ch, cls.cells) for ch in plan.checks), (cl, cls)
                     classes += 1
-    assert classes == 19519
+    return classes
+
+
+def test_timed_pruned_streams_yield_only_classes_their_checks_admit():
+    # the first 20 automata of the benchmark's timed pool
+    assert _admitted_stream_classes(
+        normalize(encode_reachability(aut, goal, default_lambda(aut, goal)))
+        for aut, goal in corpus.timed_instances(0, 20)
+    ) == 19519
+
+
+# Draws 21 and 108 stream 790,459 and 89,210 classes over all their
+# contexts; the other 198 stream 98,739 together.
+HEAVY_DRAWS = (21, 108)
+
+
+def test_pool_pruned_streams_yield_only_classes_their_checks_admit():
+    # the first 200 draws of the benchmark's clause-set pool, but the heavy ones
+    rng = random.Random(1706)
+    sets = [normalize((corpus._raw_bd if i % 2 == 0 else corpus._raw_slr)(rng))
+            for i in range(200)]
+    assert _admitted_stream_classes(
+        cs for i, cs in enumerate(sets) if i not in HEAVY_DRAWS
+    ) == 98739
 
 
 def _checks(arity, cons):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from bsrsat.decide import InterpretationDescriptor, PropAtom, verify_model
+from bsrsat.decide import InterpretationDescriptor, PropAtom, _Context, verify_model
 from bsrsat.normalize import normalize
 from bsrsat.parser import parse_clause_set
 from bsrsat.ramsey import (
@@ -28,6 +28,7 @@ from bsrsat.regions import (
     enumerate_bd_unbounded,
     enumerate_slr_classes,
 )
+from bsrsat.terms import MODE_SLR
 
 F = Fraction
 
@@ -292,19 +293,15 @@ def _slr_rebuilt():
     ncs = normalize(parse_clause_set(SLR_TEXT))
     part = PartitionJ.make([F(0)])
     pool = sorted(set(q1) | set(q2) | {F(0)})
-    classes = list(enumerate_slr_classes(1, part))
-    table, reps = {}, {}
-    for i, cls in enumerate(classes):
+    table = {}
+    for cls in enumerate_slr_classes(1, part):
         members = [v for v in pool if class_of_slr((v,), part) == cls]
         assert members, "selection must touch every unary region"
-        reps[i] = (members[0],)
         table[PropAtom("P", ("e0",), cls)] = slr_pred_p(members[0])
         table[PropAtom("Q", ("e0",), cls)] = slr_pred_q(members[0])
     desc = InterpretationDescriptor(
-        mode="slr", domain=("e0",), fconst_assign={"a": "e0"},
-        gamma={"d": F(0)}, table=table, kappa=None, partition=part,
-        class_index={cls: i for i, cls in enumerate(classes)},
-        class_reps=reps)
+        ctx=_Context(MODE_SLR, {"d": F(0)}, partition=part), domain=("e0",),
+        fconst_assign={"a": "e0"}, table=table)
     return ncs, desc
 
 
@@ -342,10 +339,8 @@ class TestSlrModelRebuild:
         key = PropAtom("Q", ("e0",), above)
         bad_table[key] = not bad_table[key]
         bad = InterpretationDescriptor(
-            mode="slr", domain=desc.domain, fconst_assign=desc.fconst_assign,
-            gamma=desc.gamma, table=bad_table, kappa=None,
-            partition=desc.partition, class_index=desc.class_index,
-            class_reps=desc.class_reps)
+            ctx=desc.ctx, domain=desc.domain, fconst_assign=desc.fconst_assign,
+            table=bad_table)
         assert not verify_model(ncs, bad)
 
 

@@ -2,15 +2,20 @@
 
 Each script runs in a subprocess against this checkout's sources; it must
 exit 0 and report no broken round trip, census mismatch or disagreement.
+``ta_differential.py`` also runs in this process once, to count its oracle
+calls.
 """
 
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from bsrsat import corpus, timed
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,15 +32,19 @@ RUNS = [
 FAILURE_MARKS = ("BROKEN", "MISMATCH", "DISAGREE")
 
 
-def run_script(argv) -> list[str]:
+def run_process(argv) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def run_script(argv) -> list[str]:
+    proc = run_process(argv)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return proc.stdout.splitlines()
 
@@ -45,6 +54,44 @@ def test_script_runs_clean(argv):
     lines = run_script(argv)
     assert len(lines) > 1
     assert not [line for line in lines if any(m in line for m in FAILURE_MARKS)]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--mode", "slr", "--max-arity", "1", "--bounded"],
+     "argument --bounded: not allowed with --mode slr"),
+    (["--mode", "bd", "--max-arity", "1", "--points", "5"],
+     "argument --points: not allowed with --mode bd"),
+], ids=["slr --bounded", "bd --points"])
+def test_region_census_rejects_an_option_of_the_other_mode(argv, message):
+    proc = run_process(["region_census.py", *argv])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr
+
+
+def test_ta_differential_counts_the_reachable_rows_of_its_table(monkeypatch, capsys):
+    # the summary counts the region verdicts of the table: one oracle call
+    # per automaton, at --lam (``corpus``, imported above, keeps the real
+    # oracle that picks the automata)
+    assert corpus.region_reach is timed.region_reach
+    lams = []
+    real = timed.region_reach
+
+    def recording(aut, goal, lam=None):
+        lams.append(lam)
+        return real(aut, goal, lam)
+
+    monkeypatch.setattr(timed, "region_reach", recording)
+    monkeypatch.setattr(sys, "argv", ["ta_differential.py", "--seed", "1", "--count", "3", "--lam", "1"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(ROOT / "scripts" / "ta_differential.py"), run_name="__main__")
+    assert done.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    region = [line.split()[-4] for line in lines[1:-1]]
+    assert len(region) == 3 and set(region) <= {"True", "False"}
+    assert lines[-1] == (f"3 instances, {region.count('True')} reachable, "
+                         "0 disagreement(s)")
+    assert lams == [1, 1, 1]
 
 
 def test_stream_digest_prints_normal_digest():
