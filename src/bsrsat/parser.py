@@ -21,9 +21,8 @@ Printers invert the parsers on canonicalized inputs: parse(print(s)) == s.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .terms import (
     MODE_BD,
@@ -53,19 +52,21 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "name", "num", or the symbol text itself
     text: str
     line: int
     col: int
 
 
+# whitespace is skipped between matches, "#" ends the line's tokens and any
+# other character that starts no token is an error
 _TOKEN_RE = re.compile(
-    r"[A-Za-z_][A-Za-z0-9_]*'*"
-    r"|\d+(?:/\d+)?"
-    r"|<=|>=|!=|->"
-    r"|[<>=~()\[\]{},;:+\-*^]"
+    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*'*)"
+    r"|(?P<num>\d+(?:/\d+)?)"
+    r"|(?P<sym><=|>=|!=|->|[<>=~()\[\]{},;:+\-*^])"
+    r"|(?P<end>#)"
+    r"|(?P<bad>\S)"
 )
 
 _RELATIONS = {r.value: r for r in Relation}
@@ -73,26 +74,13 @@ _RELATIONS = {r.value: r for r in Relation}
 
 def _tokenize_line(text: str, line_no: int) -> list[Token]:
     out: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "#":
+    for m in _TOKEN_RE.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        if kind == "end":
             break
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {ch!r}", line_no, pos + 1)
-        tok = m.group(0)
-        if tok[0].isdigit():
-            kind = "num"
-        elif tok[0].isalpha() or tok[0] == "_":
-            kind = "name"
-        else:
-            kind = tok
-        out.append(Token(kind, tok, line_no, pos + 1))
-        pos = m.end()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", line_no, m.start() + 1)
+        out.append(Token(tok if kind == "sym" else kind, tok, line_no, m.start() + 1))
     return out
 
 
@@ -543,7 +531,8 @@ def parse_goal(text: str, aut: TimedAutomaton) -> ReachQuery:
         raise ParseError(f"unknown goal location {loc!r}", 1, 1)
     if not sep or not cc_part.strip():
         return ReachQuery(loc)
-    s = _Stream(_tokenize_line(cc_part, 1), 1)
+    # the location blanked out, so that columns count from the goal's start
+    s = _Stream(_tokenize_line(" " * len(loc_part + sep) + cc_part, 1), 1)
     cc = _parse_cc(s, aut.clocks)
     s.end()
     return ReachQuery(loc, cc)

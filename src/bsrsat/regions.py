@@ -41,22 +41,24 @@ their common denominator.
 Premise constraints compile to checks on cells (``compile_checks``), and
 ``check_holds`` decides one on a class.  The enumerators take a premise's
 checks and yield only the classes on which all of them hold, in the order
-of the full stream.  Bounds read one cell, so they are settled per
-coordinate before the loops (``_admitted``).  Order relations between
-coordinates become signs that cut the ordered partitions as they are built
-(``ordered_set_partitions``).  Slr takes them from its var-var checks.  Bd
-unbounded first closes the convex checks (all but ``!=``) into a zone, a
-difference-bound matrix.  Its bounds join the constant bounds; between
-in-range coordinates it bounds the floor differences (``_bands``), and its
-signs are the rank comparisons that leave a pair some floor difference.
-They cut the zero sets (the in-range coordinates whose fractional part
-vanishes) and the fractional orders, and the floors are placed level-wise
-within the bands (``_floor_tuples``).  ``check_holds`` decides the ``!=``
-pair checks as their floors are placed, and the var-var checks over a
-coordinate beyond +/-kappa as the value order there is chosen.  A
-difference is class-determined only in range, so a difference check whose
-coordinates the constant bounds do not hold within +/-kappa raises
-``FragmentError`` before the first class.
+of the full stream, and evaluate no check: each becomes a cut before the
+loops.  Bounds read one cell, so they are settled per coordinate
+(``_admitted``).  Pair checks are settled per bucket choice (``_pair_cuts``;
+slr has one bucket).  One against itself holds on every class or on none,
+and one over two buckets is decided by their order.  Order relations within
+a bucket become signs that cut the ordered partitions as they are built
+(``ordered_set_partitions``): slr and the value orders beyond +/-kappa take
+them from the var-var checks.  In range, bd unbounded first closes the
+convex checks (all but ``!=``) into a zone, a difference-bound matrix.  Its
+bounds join the constant bounds; between in-range coordinates it bounds the
+floor differences (``_bands``), and its signs are the rank comparisons that
+leave a pair some floor difference.  They cut the zero sets (the in-range
+coordinates whose fractional part vanishes) and the fractional orders, and
+the floors are placed level-wise within the bands (``_floor_tuples``).  A
+``!=`` check fails only on equal ranks and one floor difference, which the
+floor placement leaves out.  A difference is class-determined only in
+range, so a difference check whose coordinates the constant bounds do not
+hold within +/-kappa raises ``FragmentError`` before the first class.
 """
 
 from __future__ import annotations
@@ -295,20 +297,17 @@ def enumerate_slr_classes(
     ``checks`` (from ``compile_checks``) prune the stream without changing
     its order.  Bounds are settled per coordinate before the loops: a block
     takes only the intervals admitted for all of its coordinates.  Var-var
-    checks become the signs that cut the ordered partitions.  The classes
-    skipped are exactly those on which some check fails.
+    checks become the signs that cut the ordered partitions (``_pair_cuts``,
+    all coordinates in one bucket).  The classes skipped are exactly those
+    on which some check fails.
     """
     _require_sizes(arity)
     intervals = [(None, iv) for iv in range(partition.interval_count)]
     admitted = [{iv for _, iv in _admitted(c, intervals, checks)} for c in range(arity)]
-    signs: dict = {}
-    for kind, rel, i, j, *_ in checks:
-        if kind == "varvar" and i == j and not rel.holds(0, 0):
-            return  # a coordinate against itself: no pair, and no class
-        if kind == "varvar" and i != j:
-            held = [s for s in signs.get((i, j), (-1, 0, 1)) if rel.holds(s, 0)]
-            signs[i, j], signs[j, i] = held, [-s for s in held]
-    for part in ordered_set_partitions(tuple(range(arity)), signs):
+    cuts = _pair_cuts(checks, (BUCKET_ABOVE,) * arity, {})
+    if cuts is None:
+        return
+    for part in ordered_set_partitions(tuple(range(arity)), cuts[0]):
         block_of = [0] * arity
         for bi, block in enumerate(part):
             for c in block:
@@ -453,16 +452,16 @@ def enumerate_bd_unbounded(
 
     ``checks`` (from ``compile_checks``) prune the stream without changing
     its order; the classes skipped are exactly those on which some check
-    fails.  A coordinate takes only the buckets and floors its bounds admit
-    (``_admitted``), with the bounds of the zone (``_zone``); an empty zone
-    yields nothing.  Per bucket choice, the pairs of in-range coordinates
-    with an empty band (``_bands``) give the signs that the zero set
-    (``_zero_set_open``) and the fractional order (``ordered_set_partitions``)
-    keep to, so every order built leaves each pair a band, within which
-    ``_floor_tuples`` places the floors.  ``check_holds`` filters the value
-    order beyond +/-kappa.  A difference check between coordinates that
-    their constant bounds do not hold within +/-kappa raises
-    ``FragmentError`` before the first class.
+    fails, and none is built to be dropped.  A coordinate takes only the
+    buckets and floors its bounds admit (``_admitted``), with the bounds of
+    the zone (``_zone``); an empty zone yields nothing.  Per bucket choice,
+    ``_pair_cuts`` skips the choice or gives the signs that the value orders
+    beyond +/-kappa, the zero set (``_zero_set_open``) and the fractional
+    order (``ordered_set_partitions``) keep to, so every order built leaves
+    each in-range pair a band (``_bands``), within which ``_floor_tuples``
+    places the floors around the holes of the ``!=`` checks.  A difference
+    check between coordinates that their constant bounds do not hold within
+    +/-kappa raises ``FragmentError`` before the first class.
     """
     _require_sizes(arity, kappa)
     coords = tuple(range(arity))
@@ -506,36 +505,23 @@ def enumerate_bd_unbounded(
     ]
     bucket_opts = [sorted({bk for bk, _, _ in adm}) for adm in admitted]
     for buckets in itertools.product(*bucket_opts):
+        cuts = _pair_cuts(checks, buckets, bands)
+        if cuts is None:
+            continue
+        signs, pairs, holes = cuts
         inside = tuple(c for c in coords if buckets[c] == BUCKET_IN)
-        # Until ranks and floors are placed a cell holds only its bucket.
-        cells: list = [(b, 0, 0) for b in buckets]
-        outer, staged = _stage_bd_checks(checks, inside)
-        pairs = [
-            (p, k, a, b, bands[a, b])
-            for k, b in enumerate(inside)
-            for p, a in enumerate(inside[:k])
-            if (a, b) in bands
-        ]
-        # the rank comparisons that leave a pair with an empty band a band
-        signs = {}
-        for _, _, a, b, band in pairs:
-            held = [s for s in (-1, 0, 1) if band[s + 1][0] <= band[s + 1][1]]
-            if len(held) < 3:
-                signs[b, a], signs[a, b] = held, [-s for s in held]
-        unlimited = [()] * len(inside)
+        cells: list = [None] * arity
         # per coordinate its fractional rank, once the zero set and the
         # fractional order are chosen
         ranks = [0] * arity
         below = tuple(c for c in coords if buckets[c] == BUCKET_BELOW)
         above = tuple(c for c in coords if buckets[c] == BUCKET_ABOVE)
-        for below_part in ordered_set_partitions(below):
-            for above_part in ordered_set_partitions(above):
+        for below_part in ordered_set_partitions(below, signs):
+            for above_part in ordered_set_partitions(above, signs):
                 for bucket, part in ((BUCKET_BELOW, below_part), (BUCKET_ABOVE, above_part)):
                     for rank, block in enumerate(part):
                         for c in block:
                             cells[c] = (bucket, 0, rank)
-                if not all(check_holds(ch, cells) for ch in outer):
-                    continue
                 for zero in _subsets(inside):
                     ranges = [floor_opts[c][c in zero] for c in inside]
                     if not all(ranges) or not _zero_set_open(signs, zero):
@@ -547,8 +533,9 @@ def enumerate_bd_unbounded(
                         for rank, block in enumerate(part, start=1):
                             for c in block:
                                 ranks[c] = rank
-                        limits = _floor_limits(pairs, ranks, len(inside)) if pairs else unlimited
-                        for floors in _floor_tuples(inside, ranges, ranks, cells, limits, staged):
+                        limits = (_floor_limits(pairs, holes, ranks, len(inside))
+                                  if pairs or holes else ())
+                        for floors in _floor_tuples(ranges, limits):
                             for c, f in zip(inside, floors):
                                 cells[c] = (BUCKET_IN, f, ranks[c])
                             yield RegionClass(tuple(cells), FAMILY_BD_UNBOUNDED, kappa)
@@ -668,25 +655,40 @@ def _bands(zone, kappa: int) -> dict[tuple[int, int], tuple]:
     return bands
 
 
-def _stage_bd_checks(checks, inside):
-    """The pair checks that the bands leave open: those that read a
-    coordinate beyond +/-kappa, decided once the value order there is chosen
-    (the bucket alone places an in-range coordinate against them), and per
-    in-range coordinate the ``!=`` checks decided when its floor is placed
-    (their last in range in ``inside`` order).  Both keep the order of
-    ``checks``."""
-    pos = {c: k for k, c in enumerate(inside)}
-    outer: list[tuple] = []
-    staged: list[list[tuple]] = [[] for _ in inside]
-    for ch in checks:
-        if ch[0] == "bd_const":
+def _pair_cuts(checks, buckets, bands):
+    """The pair checks of one bucket choice as cuts, or None when one fails
+    on every class of the choice: the signs that the ordered partitions keep
+    to, and for the in-range coordinates a and b at positions p < k, the
+    (p, k, a, b, band) ``pairs`` whose ``bands`` confine f_b - f_a and the
+    (p, k, a, b, d) ``holes`` of the checks x_b - x_a != d, which fail
+    exactly on equal ranks with f_b - f_a = d."""
+    pos = {c: k for k, c in enumerate(c for c, bk in enumerate(buckets) if bk == BUCKET_IN)}
+    signs: dict = {}
+    holes = []
+    for kind, rel, i, j, *const in checks:
+        if kind not in ("varvar", "diff"):
             continue
-        placed = [pos[c] for c in ch[2:4] if c in pos]
-        if len(placed) < 2:
-            outer.append(ch)
-        elif ch[1] is Relation.NEQ:
-            staged[max(placed)].append(ch)
-    return outer, staged
+        c = const[0] if const else 0
+        # the buckets alone decide: x_i - x_i is 0, and across buckets
+        # x_i - x_j has the sign of buckets[i] - buckets[j] and c is 0 (a
+        # difference lies in range)
+        if i == j or buckets[i] != buckets[j]:
+            if not rel.holds(buckets[i] - buckets[j], c):
+                return None
+        elif buckets[i] != BUCKET_IN:
+            held = [s for s in signs.get((i, j), (-1, 0, 1)) if rel.holds(s, 0)]
+            signs[i, j], signs[j, i] = held, [-s for s in held]
+        elif rel is Relation.NEQ:
+            if pos[i] < pos[j]:
+                i, j, c = j, i, -c
+            holes.append((pos[j], pos[i], j, i, c))
+    pairs = [(pos[a], pos[b], a, b, band) for (a, b), band in bands.items()
+             if a in pos and b in pos and pos[a] < pos[b]]
+    for _, _, a, b, band in pairs:
+        held = [s for s in (-1, 0, 1) if band[s + 1][0] <= band[s + 1][1]]
+        if len(held) < 3:
+            signs[b, a], signs[a, b] = held, [-s for s in held]
+    return signs, pairs, holes
 
 
 def _zero_set_open(signs, zero) -> bool:
@@ -697,41 +699,42 @@ def _zero_set_open(signs, zero) -> bool:
                for (a, b), held in signs.items() if a in zero or b in zero)
 
 
-def _floor_limits(pairs, ranks, n: int) -> list[list[tuple]]:
+def _floor_limits(pairs, holes, ranks, n: int) -> list[tuple[list, list]]:
     """Per in-range position k < n, the (p, lo, hi) for which the band of
     the pair at positions p < k confines f_k - f_p to [lo, hi] under these
-    ranks.  ``pairs`` lists (p, k, a, b, band) for the coordinates a and b
-    at positions p and k.  No band is empty here: the zero set and the
-    fractional order keep every pair to its signs."""
-    limits: list[list[tuple]] = [[] for _ in range(n)]
+    ranks, and the (p, d) for which a hole takes f_k - f_p = d out.  No band
+    is empty here: the zero set and the fractional order keep every pair to
+    its signs."""
+    limits: list[tuple[list, list]] = [([], []) for _ in range(n)]
     for p, k, a, b, band in pairs:
         ra, rb = ranks[a], ranks[b]
-        limits[k].append((p, *band[(rb > ra) - (rb < ra) + 1]))
+        limits[k][0].append((p, *band[(rb > ra) - (rb < ra) + 1]))
+    for p, k, a, b, d in holes:
+        if ranks[a] == ranks[b]:
+            limits[k][1].append((p, d))
     return limits
 
 
-def _floor_tuples(inside, ranges, ranks, cells, limits, staged) -> Iterator[tuple[int, ...]]:
-    """``itertools.product(*ranges)`` minus every floor prefix that leaves
-    a band of its last coordinate or fails a check staged there, in the same
+def _floor_tuples(ranges, limits) -> Iterator[tuple[int, ...]]:
+    """``itertools.product(*ranges)`` minus every floor prefix whose last
+    floor leaves a band or falls into a hole of its position, in the same
     (lexicographic) order.
 
     Level-wise: the admitted prefixes grow one in-range coordinate at a
-    time, up to the last position that a band or a staged check constrains,
-    and the unconstrained tail is appended by ``itertools.product``.  Per
-    prefix, the bands of a position clip its ascending range to one
-    interval [lo, hi] of floors.  Where checks are staged, ``cells``
-    receives the prefix's floors, which they read."""
-    last = max((k for k in range(len(inside)) if limits[k] or staged[k]), default=-1)
+    time, up to the last position with a band or a hole, and the
+    unconstrained tail is appended by ``itertools.product``.  Per prefix,
+    the bands of a position clip its ascending range to one interval
+    [lo, hi] of floors, and its holes take single floors out of that."""
+    last = max((k for k, (bands, holes) in enumerate(limits) if bands or holes), default=-1)
     if last < 0:
         return itertools.product(*ranges)
     prefixes: list[tuple[int, ...]] = [()]
     for k in range(last + 1):
-        fs, lim, chs = ranges[k], limits[k], staged[k]
-        c = inside[k]
+        fs, (bands, holes) = ranges[k], limits[k]
         grown = []
         for prefix in prefixes:
             lo, hi = fs[0], fs[-1]
-            for p, dlo, dhi in lim:
+            for p, dlo, dhi in bands:
                 f = prefix[p]
                 if f + dlo > lo:
                     lo = f + dlo
@@ -740,15 +743,10 @@ def _floor_tuples(inside, ranges, ranks, cells, limits, staged) -> Iterator[tupl
             if lo > hi:
                 continue
             admitted = fs[bisect.bisect_left(fs, lo):bisect.bisect_right(fs, hi)]
-            if not chs:
-                grown += [prefix + (f,) for f in admitted]
-                continue
-            for b, f in zip(inside, prefix):  # the floors the checks may read
-                cells[b] = (BUCKET_IN, f, ranks[b])
-            for f in admitted:
-                cells[c] = (BUCKET_IN, f, ranks[c])
-                if all(check_holds(ch, cells) for ch in chs):
-                    grown.append(prefix + (f,))
+            if holes:
+                gaps = {prefix[p] + d for p, d in holes}
+                admitted = [f for f in admitted if f not in gaps]
+            grown += [prefix + (f,) for f in admitted]
         prefixes = grown
     tail = ranges[last + 1:]
     return (prefix + t for prefix in prefixes for t in itertools.product(*tail))

@@ -177,3 +177,14 @@ def test_parse_goal_rejects_unknown_location():
     aut = parse_ta(TA_TEXT)
     with pytest.raises(ParseError, match="unknown goal location"):
         parse_goal("q: x < 1", aut)
+
+
+@pytest.mark.parametrize("goal, col, message", [
+    ("b: y $ 1", 6, "unexpected character '\\$'"),
+    ("b : z < 1", 5, "unknown clock 'z'"),
+])
+def test_parse_goal_errors_count_columns_from_the_goal_start(goal, col, message):
+    aut = parse_ta(TA_TEXT)
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_goal(goal, aut)
+    assert (exc.value.line, exc.value.col) == (1, col)

@@ -404,3 +404,29 @@ def test_zero_sets_with_an_empty_band_skip_their_fractional_orders(monkeypatch):
     assert len(calls) <= 6
     assert len(stream) == 4
     assert stream == [c for c in enumerate_bd_unbounded(4, 2) if _class_ok(c, checks)]
+
+
+HALF_OPEN = [VarConst(v, rel, GroundTerm.constant(Fraction(c)))
+             for v in ("x0", "x1") for rel, c in ((Relation.GE, 0), (Relation.LT, 2))]
+
+
+@pytest.mark.parametrize("cons, count", [
+    # value orders beyond +/-kappa, both coordinates below -kappa in one class
+    ([VarVar("x0", Relation.LT, "x1")], 73),
+    # x1 in range, x0 in range or above kappa
+    (_guarded("x1", "x1", 0, 1) + [VarVar("x1", Relation.LT, "x0")], 15),
+    # != in range, in both orientations of the coordinate positions
+    (HALF_OPEN + _diffs(("x1", "x0", Relation.NEQ, 1)), 22),
+    (HALF_OPEN + _diffs(("x0", "x1", Relation.NEQ, 1)), 22),
+], ids=["below-kappa", "across-buckets", "neq-later", "neq-earlier"])
+def test_pair_checks_are_cuts_that_evaluate_no_check(monkeypatch, cons, count):
+    checks = _checks(2, cons)
+
+    def evaluated(*args):
+        raise AssertionError(f"a pruned stream evaluated a check: {args}")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(regions, "check_holds", evaluated)
+        pruned = list(enumerate_bd_unbounded(2, 2, checks))
+    assert len(pruned) == count
+    assert pruned == [c for c in enumerate_bd_unbounded(2, 2) if _class_ok(c, checks)]
