@@ -15,15 +15,14 @@ from bsrsat.ramsey import ColoringOracle, InsufficientInputError, mono_ascending
 
 
 def run_cell(m: int, n: int, ncol: int, size: int, seeds: range):
-    queries, yields, fails = [], [], 0
+    queries, fails = [], 0
     for seed in seeds:
         def fn(t, seed=seed):
             return random.Random(hash((seed, t))).randrange(ncol)
         chi = ColoringOracle(fn, m, ncol)
         rs = [Fraction(k, 4) for k in range(1, size + 1)]
         try:
-            q = mono_ascending(rs, m, n, chi)
-            yields.append(len(q))
+            mono_ascending(rs, m, n, chi)
             queries.append(chi.queries)
         except InsufficientInputError:
             fails += 1

@@ -245,7 +245,6 @@ def _raw_automaton(rng: random.Random) -> tuple[TimedAutomaton, ReachQuery]:
         resets = frozenset(x for x in clocks if rng.random() < 0.4)
         transitions.append(Transition(src, guard, resets, dst))
     aut = TimedAutomaton(clocks, locations, locations[0], invariants, tuple(transitions))
-    aut.validate()
     goal = ReachQuery(rng.choice(locations),
                       _cc(rng, clocks, rng.choice((0, 1, 1))))
     return aut, goal

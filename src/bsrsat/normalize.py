@@ -10,13 +10,17 @@ invariants checked by ``validate_normal_form``.
 
 Each check runs once, where its input enters: ``normalize`` validates the
 clause set it is given, and ``decide`` and ``naive_decide`` run
-``validate_normal_form`` on the set they receive.  ``normalize`` does not
+``validate_normal_form`` on the set they receive.  Delay equations (x' = x +
+z) are rejected there too: ``ClauseSet.validate`` admits them in ``folla``
+mode only, so no step here meets one.  Automata and reachability goals are
+checked in ``timed`` before they are encoded.  ``normalize`` does not
 re-check its own output; the tests run that check over generated sets.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 from .linarith import GroundSystem, fm_project
@@ -26,7 +30,6 @@ from .terms import (
     Clause,
     ClauseSet,
     Constraint,
-    DeltaEq,
     DiffConst,
     Equation,
     FragmentError,
@@ -41,6 +44,7 @@ from .terms import (
     atom_base_vars,
     atom_free_vars,
     constraint_vars,
+    rename_constraint,
 )
 
 _VAR_MARK = "#"  # prefix marking clause variables inside FM ground terms
@@ -149,8 +153,6 @@ def _eliminate_clause(cl: Clause, mode: str) -> list[Clause]:
         atom_vars.update(atom_base_vars(a))
     elim: list[str] = []
     for c in cl.lam:
-        if isinstance(c, DeltaEq):
-            raise FragmentError("synchronous delay constraints cannot be normalized")
         for v in constraint_vars(c):
             if v not in atom_vars and v not in elim:
                 elim.append(v)
@@ -167,22 +169,14 @@ def _eliminate_clause(cl: Clause, mode: str) -> list[Clause]:
 def _split_disequations(lam: list[Constraint], elim: set[str]) -> list[list[Constraint]]:
     for i, c in enumerate(lam):
         if _is_var_neq(c) and set(constraint_vars(c)) & elim:
-            lo = lam[:i] + [_with_rel(c, Relation.LT)] + lam[i + 1 :]
-            hi = lam[:i] + [_with_rel(c, Relation.GT)] + lam[i + 1 :]
+            lo = lam[:i] + [replace(c, rel=Relation.LT)] + lam[i + 1 :]
+            hi = lam[:i] + [replace(c, rel=Relation.GT)] + lam[i + 1 :]
             return _split_disequations(lo, elim) + _split_disequations(hi, elim)
     return [lam]
 
 
 def _is_var_neq(c: Constraint) -> bool:
     return isinstance(c, (VarConst, VarVar, DiffConst)) and c.rel is Relation.NEQ
-
-
-def _with_rel(c: Constraint, rel: Relation) -> Constraint:
-    if isinstance(c, VarConst):
-        return VarConst(c.var, rel, c.bound)
-    if isinstance(c, VarVar):
-        return VarVar(c.var, rel, c.other)
-    return DiffConst(c.var, c.other, rel, c.const)
 
 
 def _mark(var: str) -> GroundTerm:
@@ -353,16 +347,7 @@ def _rename_clause(cl: Clause, mapping: dict[str, str]) -> Clause:
     def rv(v: str) -> str:
         return mapping.get(v, v)
 
-    lam = []
-    for c in cl.lam:
-        if isinstance(c, VarConst):
-            lam.append(VarConst(rv(c.var), c.rel, c.bound))
-        elif isinstance(c, VarVar):
-            lam.append(VarVar(rv(c.var), c.rel, rv(c.other)))
-        elif isinstance(c, DiffConst):
-            lam.append(DiffConst(rv(c.var), rv(c.other), c.rel, c.const))
-        else:
-            lam.append(c)
+    lam = [rename_constraint(c, rv) for c in cl.lam]
 
     def ra(a):
         if isinstance(a, Equation):

@@ -103,10 +103,18 @@ class _Stream:
         self.pos += 1
         return t
 
-    def expect(self, kind: str) -> Token:
-        t = self.next(f"'{kind}'")
-        if t.kind != kind:
-            raise ParseError(f"expected '{kind}', found {t.text!r}", t.line, t.col)
+    def expect(self, text: str) -> Token:
+        """The next token, which must be the symbol or keyword ``text``."""
+        t = self.next(f"'{text}'")
+        if t.text != text:
+            raise ParseError(f"expected '{text}', found {t.text!r}", t.line, t.col)
+        return t
+
+    def name(self, what: str) -> Token:
+        """The next token, which must be a name; ``what`` says which."""
+        t = self.next(what)
+        if t.kind != "name":
+            raise ParseError(f"expected {what}, found {t.text!r}", t.line, t.col)
         return t
 
     def at(self, kind: str) -> bool:
@@ -178,9 +186,7 @@ class _ClauseFileState:
 def parse_clause_set(text: str) -> ClauseSet:
     st = _ClauseFileState()
     for s in _lines(text):
-        head = s.next("a declaration or clause")
-        if head.kind != "name":
-            raise ParseError(f"expected a declaration or clause, found {head.text!r}", head.line, head.col)
+        head = s.name("a declaration or clause")
         if head.text == "mode":
             if st.mode is not None:
                 raise ParseError("duplicate mode declaration", head.line, head.col)
@@ -190,9 +196,7 @@ def parse_clause_set(text: str) -> ClauseSet:
             st.mode = m.text
             s.end()
         elif head.text == "pred":
-            name = s.next("a predicate name")
-            if name.kind != "name":
-                raise ParseError(f"expected a predicate name, found {name.text!r}", name.line, name.col)
+            name = s.name("a predicate name")
             if name.text in st.signature:
                 raise ParseError(f"redeclaration of predicate {name.text!r}", name.line, name.col)
             s.expect(":")
@@ -204,10 +208,7 @@ def parse_clause_set(text: str) -> ClauseSet:
             if s.done():
                 raise s.error(f"{head.text} needs at least one name")
             while not s.done():
-                tok = s.next("a name")
-                if tok.kind != "name":
-                    raise ParseError(f"expected a name, found {tok.text!r}", tok.line, tok.col)
-                st.declare_const(tok, head.text)
+                st.declare_const(s.name("a name"), head.text)
         elif head.text == "clause":
             if st.mode is None:
                 raise ParseError("mode must be declared before clauses", head.line, head.col)
@@ -335,9 +336,7 @@ def _require_skolem(tok: Token, st: _ClauseFileState) -> None:
 
 
 def _parse_atom(s: _Stream, st: _ClauseFileState) -> FreeAtom:
-    t = s.next("an atom")
-    if t.kind != "name":
-        raise ParseError(f"expected an atom, found {t.text!r}", t.line, t.col)
+    t = s.name("an atom")
     if s.at("~"):
         s.next()
         right = s.next("a free-sort term")
@@ -403,9 +402,7 @@ def parse_ta(text: str) -> TimedAutomaton:
     invariants: dict[str, ClockConstraint] = {}
     transitions: list[Transition] = []
     for s in _lines(text):
-        head = s.next("a declaration")
-        if head.kind != "name":
-            raise ParseError(f"expected a declaration, found {head.text!r}", head.line, head.col)
+        head = s.name("a declaration")
         if head.text == "clocks":
             if clocks:
                 raise ParseError("duplicate clocks declaration", head.line, head.col)
@@ -419,9 +416,7 @@ def parse_ta(text: str) -> TimedAutomaton:
                     raise ParseError(f"duplicate clock {tok.text!r}", tok.line, tok.col)
                 clocks.append(tok.text)
         elif head.text == "loc":
-            name = s.next("a location name")
-            if name.kind != "name":
-                raise ParseError(f"expected a location name, found {name.text!r}", name.line, name.col)
+            name = s.name("a location name")
             if name.text in locations:
                 raise ParseError(f"duplicate location {name.text!r}", name.line, name.col)
             locations.append(name.text)
@@ -430,9 +425,7 @@ def parse_ta(text: str) -> TimedAutomaton:
                 if initial is not None:
                     raise ParseError("more than one initial location", name.line, name.col)
                 initial = name.text
-            kw = s.next("'inv'")
-            if kw.text != "inv":
-                raise ParseError(f"expected 'inv', found {kw.text!r}", kw.line, kw.col)
+            s.expect("inv")
             cc = _parse_cc(s, clocks)
             s.end()
             if not cc.is_true:
@@ -444,13 +437,9 @@ def parse_ta(text: str) -> TimedAutomaton:
             for tok in (src, dst):
                 if tok.text not in locations:
                     raise ParseError(f"unknown location {tok.text!r}", tok.line, tok.col)
-            kw = s.next("'guard'")
-            if kw.text != "guard":
-                raise ParseError(f"expected 'guard', found {kw.text!r}", kw.line, kw.col)
+            s.expect("guard")
             guard = _parse_cc(s, clocks, stop_at="reset")
-            kw = s.next("'reset'")
-            if kw.text != "reset":
-                raise ParseError(f"expected 'reset', found {kw.text!r}", kw.line, kw.col)
+            s.expect("reset")
             s.expect("{")
             resets: set[str] = set()
             while not s.at("}"):
@@ -465,11 +454,7 @@ def parse_ta(text: str) -> TimedAutomaton:
             raise ParseError(f"unknown declaration {head.text!r}", head.line, head.col)
     if initial is None:
         raise ParseError("no location is marked init", 1, 1)
-    aut = TimedAutomaton(
-        tuple(clocks), tuple(locations), initial, invariants, tuple(transitions)
-    )
-    aut.validate()
-    return aut
+    return TimedAutomaton(tuple(clocks), tuple(locations), initial, invariants, tuple(transitions))
 
 
 def _parse_cc(s: _Stream, clocks: Sequence[str], stop_at: str | None = None) -> ClockConstraint:
@@ -528,7 +513,8 @@ def parse_goal(text: str, aut: TimedAutomaton) -> ReachQuery:
     loc_part, sep, cc_part = text.partition(":")
     loc = loc_part.strip()
     if loc not in aut.locations:
-        raise ParseError(f"unknown goal location {loc!r}", 1, 1)
+        col = len(loc_part) - len(loc_part.lstrip()) + 1
+        raise ParseError(f"unknown goal location {loc!r}", 1, col)
     if not sep or not cc_part.strip():
         return ReachQuery(loc)
     # the location blanked out, so that columns count from the goal's start

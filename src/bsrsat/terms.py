@@ -16,7 +16,7 @@ import enum
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -251,6 +251,18 @@ def constraint_vars(c: Constraint) -> tuple[str, ...]:
     if isinstance(c, DeltaEq):
         return tuple(dict.fromkeys((c.new, c.old, c.delta)))
     return ()
+
+
+def rename_constraint(c: Constraint, rename: Callable[[str], str]) -> Constraint:
+    """A bound, comparison or difference with each variable v replaced by
+    rename(v); any other constraint is returned as it is."""
+    if isinstance(c, VarConst):
+        return VarConst(rename(c.var), c.rel, c.bound)
+    if isinstance(c, VarVar):
+        return VarVar(rename(c.var), c.rel, rename(c.other))
+    if isinstance(c, DiffConst):
+        return DiffConst(rename(c.var), rename(c.other), c.rel, c.const)
+    return c
 
 
 def constraint_skolems(c: Constraint) -> frozenset[str]:
@@ -497,7 +509,8 @@ class ClauseSet:
         return [c for c in self.clauses if c.is_def_clause()]
 
     def validate(self) -> None:
-        """Check sort discipline, arities, and the difference-bound guard."""
+        """Check sort discipline, arities, the difference-bound guard, and
+        that delay equations occur in ``folla`` mode only."""
         if self.mode not in (MODE_SLR, MODE_BD, MODE_FOLLA):
             raise FragmentError(f"unknown mode {self.mode!r}")
         if self.mode in (MODE_BD, MODE_FOLLA) and self.skolems:
@@ -510,6 +523,8 @@ class ClauseSet:
         base = set(cl.base_vars())
         bounded: set[str] | None = None  # built at the clause's first guarded x - y
         for c in cl.lam:
+            if isinstance(c, DeltaEq) and self.mode != MODE_FOLLA:
+                raise FragmentError(f"delay equation {c} is allowed in folla mode only")
             if isinstance(c, DiffConst) and self.mode == MODE_SLR:
                 raise FragmentError(f"difference constraint {c} is not allowed in slr mode")
             if isinstance(c, (GroundCmp, SkolemDef)) and self.mode in (MODE_BD, MODE_FOLLA):

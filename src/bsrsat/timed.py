@@ -13,6 +13,12 @@ unsatisfiability is equivalent to reachability.
 ``region_reach`` answers the same query by an explicit breadth-first search
 over (location, region) pairs and serves as the independent oracle in the
 differential tests.
+
+Each input is checked once, where it is built or enters: a
+``TimedAutomaton`` checks itself on construction, ``encode_reachability``
+and ``region_reach`` check the goal against it with one shared check, and
+the delay equations of the intermediate set are admitted by
+``ClauseSet.validate`` in ``folla`` mode only.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .terms import (
     VarVar,
     constraint_vars,
     eval_constraint,
+    rename_constraint,
 )
 
 REACH = "Reach"
@@ -119,6 +126,9 @@ class Transition:
 
 @dataclass
 class TimedAutomaton:
+    """A timed automaton, checked once, when it is built: every entry point
+    (parser, corpus, encoders, oracle) can rely on a well-formed one."""
+
     clocks: tuple[str, ...]
     locations: tuple[str, ...]
     initial: str
@@ -128,7 +138,7 @@ class TimedAutomaton:
     def invariant(self, location: str) -> ClockConstraint:
         return self.invariants.get(location, TRUE_CC)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.clocks:
             raise TimedAutomatonError("automaton needs at least one clock")
         if len(set(self.clocks)) != len(self.clocks):
@@ -176,6 +186,14 @@ class ReachQuery:
         return f"{self.location}:{self.constraint}"
 
 
+def _check_goal(aut: TimedAutomaton, query: ReachQuery) -> None:
+    """The goal's location, then its clocks, must be the automaton's."""
+    if query.location not in aut.locations:
+        raise TimedAutomatonError(f"unknown goal location {query.location!r}")
+    if not query.constraint.clocks() <= set(aut.clocks):
+        raise TimedAutomatonError(f"unknown clock in goal constraint {query.constraint}")
+
+
 def default_lambda(aut: TimedAutomaton, query: ReachQuery | None = None) -> int:
     """lambda = |clocks| * k with k the largest absolute constraint constant.
 
@@ -196,13 +214,7 @@ def _prime(name: str) -> str:
 
 
 def _primed_atoms(cc: ClockConstraint) -> list[VarConst | DiffConst]:
-    out: list[VarConst | DiffConst] = []
-    for a in cc.atoms:
-        if isinstance(a, VarConst):
-            out.append(VarConst(_prime(a.var), a.rel, a.bound))
-        else:
-            out.append(DiffConst(_prime(a.var), _prime(a.other), a.rel, a.const))
-    return out
+    return [rename_constraint(a, _prime) for a in cc.atoms]
 
 
 def reach_atom(location: str, clocks: Sequence[str], primed: bool = False) -> PredAtom:
@@ -213,7 +225,6 @@ def reach_atom(location: str, clocks: Sequence[str], primed: bool = False) -> Pr
 def encode_fol_la(aut: TimedAutomaton) -> ClauseSet:
     """Initial clause, one delay clause per location, one clause per
     transition; locations become free constants, Reach : S^1 x R^|clocks|."""
-    aut.validate()
     xs = aut.clocks
     clauses: list[Clause] = []
     lam0: list = [VarConst(x, Relation.EQ, GroundTerm.constant(0)) for x in xs]
@@ -376,13 +387,13 @@ def encode_reachability(
 ) -> ClauseSet:
     """BSR(BD) clause set that is unsatisfiable iff the query is reachable.
 
-    The result is not validated here: ``normalize`` validates the clause set
-    it is given, so the encoding is checked where it enters the pipeline."""
-    aut.validate()
-    if query.location not in aut.locations:
-        raise TimedAutomatonError(f"unknown goal location {query.location!r}")
-    if not query.constraint.clocks() <= set(aut.clocks):
-        raise TimedAutomatonError(f"unknown clock in goal constraint {query.constraint}")
+    The automaton checked itself when it was built; the goal is checked here
+    against it, by the check ``region_reach`` shares.  The delay equations
+    of ``encode_fol_la`` are lowered here, and ``ClauseSet.validate`` admits
+    none outside ``folla`` mode.  The result is not validated here:
+    ``normalize`` validates the clause set it is given, so the encoding is
+    checked where it enters the pipeline."""
+    _check_goal(aut, query)
     if lam is None:
         lam = default_lambda(aut, query)
     cs = lower_delay_clauses(encode_fol_la(aut), lam)
@@ -427,10 +438,10 @@ def region_reach(aut: TimedAutomaton, query: ReachQuery, lam: int | None = None)
     delay needs to satisfy the location invariant (invariants may be
     non-convex, e.g. via !=, so intermediate regions must not be filtered).
     Discrete successors apply resets to a representative and reclassify.
+    The automaton checked itself when it was built; the goal gets the check
+    that ``encode_reachability`` makes.
     """
-    aut.validate()
-    if query.location not in aut.locations:
-        raise TimedAutomatonError(f"unknown goal location {query.location!r}")
+    _check_goal(aut, query)
     if lam is None:
         lam = default_lambda(aut, query)
     xs = aut.clocks

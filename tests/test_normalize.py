@@ -21,6 +21,7 @@ from bsrsat.parser import parse_clause_set, parse_goal, parse_ta
 from bsrsat.terms import (
     Clause,
     ClauseSet,
+    DeltaEq,
     DiffConst,
     FragmentError,
     FreeTerm,
@@ -295,6 +296,24 @@ def test_normalize_adds_free_constant_when_absent():
 def test_normalize_rejects_folla():
     with pytest.raises(FragmentError):
         normalize(ClauseSet("folla", [], {}, ["a"], []))
+
+
+def _delay_sets():
+    # y = x + z with z only in the constraint part, and with z in an atom
+    box = [VarConst(v, rel, GroundTerm.constant(c))
+           for v in "xy" for rel, c in ((Relation.GE, 0), (Relation.LE, 1))]
+    yield bd_set([Clause.make([DeltaEq("y", "x", "z"), *box], [], [atom("P", "x", "y")])],
+                 {"P": (0, 2)})
+    yield bd_set([Clause.make([DeltaEq("y", "x", "z")], [], [atom("Q", "x", "y", "z")])],
+                 {"Q": (0, 3)})
+
+
+@pytest.mark.parametrize("solver", [normalize, decide, naive_decide])
+def test_delay_equations_are_rejected_outside_folla(solver):
+    for cs in _delay_sets():
+        with pytest.raises(FragmentError) as exc:
+            solver(cs)
+        assert str(exc.value) == "delay equation y = x + z is allowed in folla mode only"
 
 
 def test_validate_rejects_non_variable_base_argument():

@@ -114,6 +114,38 @@ def test_round_trip_generated_slr_sets():
         assert parse_clause_set(print_clause_set(cs)) == cs
 
 
+# the name and keyword checks of both formats: one case per place that
+# takes a name or a keyword token, with the message and column it reports
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_clause_set, "mode bd\n(x\n",
+     "line 2, col 1: expected a declaration or clause, found '('"),
+    (parse_clause_set, "mode bd\npred 1 : S^0 R^1\n",
+     "line 2, col 6: expected a predicate name, found '1'"),
+    (parse_clause_set, "mode bd\nfreeconst a 2\n",
+     "line 2, col 13: expected a name, found '2'"),
+    (parse_clause_set, "mode slr\nskolem c ,\n",
+     "line 2, col 10: expected a name, found ','"),
+    (parse_clause_set, "mode bd\npred P : S^0 R^1\nclause [] [] -> [1]\n",
+     "line 3, col 18: expected an atom, found '1'"),
+    (parse_ta, "clocks x\n-> a\n",
+     "line 2, col 1: expected a declaration, found '->'"),
+    (parse_ta, "clocks x\nloc 3 init inv true\n",
+     "line 2, col 5: expected a location name, found '3'"),
+    (parse_ta, "clocks x\nloc a init x <= 1\n",
+     "line 2, col 12: expected 'inv', found 'x'"),
+    (parse_ta, "clocks x\nloc a init\n",
+     "line 2, col 11: expected 'inv', found end of line"),
+    (parse_ta, "clocks x\nloc a init inv true\ntrans a -> a reset {}\n",
+     "line 3, col 14: expected 'guard', found 'reset'"),
+    (parse_ta, "clocks x\nloc a init inv true\ntrans a -> a guard true {x}\n",
+     "line 3, col 25: expected 'reset', found '{'"),
+])
+def test_name_and_keyword_errors_keep_their_messages(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 # --- automaton files --------------------------------------------------------
 
 
@@ -182,6 +214,7 @@ def test_parse_goal_rejects_unknown_location():
 @pytest.mark.parametrize("goal, col, message", [
     ("b: y $ 1", 6, "unexpected character '\\$'"),
     ("b : z < 1", 5, "unknown clock 'z'"),
+    ("   q: x < 1", 4, "unknown goal location 'q'"),
 ])
 def test_parse_goal_errors_count_columns_from_the_goal_start(goal, col, message):
     aut = parse_ta(TA_TEXT)

@@ -7,7 +7,7 @@ import pytest
 
 from bsrsat.corpus import timed_instances
 from bsrsat.decide import decide
-from bsrsat.parser import parse_goal, parse_ta
+from bsrsat.parser import parse_goal, parse_ta, print_ta
 from bsrsat.normalize import normalize
 from bsrsat.regions import class_of_bd, enumerate_bd_bounded, representative_bd
 from bsrsat.report import STATUS_SAT, STATUS_UNSAT
@@ -85,35 +85,53 @@ def test_cc_holds():
     assert g.max_const() == 2
 
 
-# --- automaton validation ---------------------------------------------------
+# --- automaton validation, when an automaton is built -----------------------
 
 
 def test_validate_accepts_demo():
-    DEMO.validate()
+    fields = (DEMO.clocks, DEMO.locations, DEMO.initial, DEMO.invariants, DEMO.transitions)
+    assert TimedAutomaton(*fields) == DEMO
 
 
 def test_validate_rejects_reserved_clock_names():
     for bad in ("x'", "z", "true"):
-        aut = TimedAutomaton((bad,), ("a",), "a")
         with pytest.raises(TimedAutomatonError):
-            aut.validate()
+            TimedAutomaton((bad,), ("a",), "a")
 
 
 def test_validate_rejects_unknown_references():
     with pytest.raises(TimedAutomatonError, match="initial"):
-        TimedAutomaton(("x",), ("a",), "q").validate()
-    bad_reset = TimedAutomaton(
-        ("x",),
-        ("a",),
-        "a",
-        {},
-        (Transition("a", TRUE_CC, frozenset({"w"}), "a"),),
-    )
+        TimedAutomaton(("x",), ("a",), "q")
     with pytest.raises(TimedAutomatonError, match="reset"):
-        bad_reset.validate()
-    bad_inv = TimedAutomaton(("x",), ("a",), "a", {"a": cc(le("w", 1))})
+        TimedAutomaton(
+            ("x",),
+            ("a",),
+            "a",
+            {},
+            (Transition("a", TRUE_CC, frozenset({"w"}), "a"),),
+        )
     with pytest.raises(TimedAutomatonError, match="unknown clock"):
-        bad_inv.validate()
+        TimedAutomaton(("x",), ("a",), "a", {"a": cc(le("w", 1))})
+
+
+def test_each_timed_path_checks_the_automaton_once(monkeypatch):
+    calls = []
+    check = TimedAutomaton.__post_init__
+
+    def counted(aut):
+        calls.append(aut)
+        check(aut)
+
+    monkeypatch.setattr(TimedAutomaton, "__post_init__", counted)
+    # the path of `bsrsat ta reach --backend both`: the parser builds the
+    # automaton, and neither the encoding nor the oracle checks it again
+    aut = parse_ta(print_ta(LOCKSTEP))
+    goal = parse_goal("b: x >= 1", aut)
+    decide(normalize(encode_reachability(aut, goal)))
+    assert len(calls) == 1
+    region_reach(aut, goal)
+    assert len(calls) == 1
+    assert not hasattr(TimedAutomaton, "validate")
 
 
 def test_default_lambda():
@@ -223,6 +241,13 @@ def test_delay_sets_equal_on_all_box_regions(lam):
         assert delay_sets_equal_check(cls, lam)
 
 
+def test_delay_sets_equal_on_all_three_clock_box_regions():
+    # the lemma at the arity of the three-clock goals, with lambda = 1
+    sources = list(enumerate_bd_bounded(3, 1, floor_lo=0))
+    assert len(sources) == 208
+    assert all(delay_sets_equal_check(cls, 1) for cls in sources)
+
+
 def test_delay_sets_check_requires_matching_kappa():
     cls = class_of_bd([Fraction(0), Fraction(0)], 1, bounded=True)
     with pytest.raises(ValueError):
@@ -265,10 +290,16 @@ def test_encode_reachability_matches_oracle_on_hand_cases():
 
 
 def test_encode_reachability_rejects_unknown_goal():
-    with pytest.raises(TimedAutomatonError, match="location"):
-        encode_reachability(LOCKSTEP, ReachQuery("q", TRUE_CC))
-    with pytest.raises(TimedAutomatonError, match="clock"):
-        encode_reachability(LOCKSTEP, ReachQuery("b", cc(le("w", 1))))
+    # the oracle shares the encoding's goal check, so both raise alike
+    bad = [
+        (ReachQuery("q", TRUE_CC), "unknown goal location 'q'"),
+        (ReachQuery("b", cc(le("w", 1))), "unknown clock in goal constraint w <= 1"),
+    ]
+    for query, message in bad:
+        for entry in (encode_reachability, region_reach):
+            with pytest.raises(TimedAutomatonError) as exc:
+                entry(LOCKSTEP, query)
+            assert str(exc.value) == message
 
 
 def test_lambda_monotone_verdicts():
