@@ -65,8 +65,7 @@ def _cmd_decide(args) -> int:
         else:
             report = decide(n, max_candidates=args.max_candidates)
     except ResourceLimitError as err:
-        report = ResultReport(STATUS_ERROR, detail=str(err),
-                              **({"stats": err.stats} if err.stats else {}))
+        report = ResultReport(STATUS_ERROR, stats=err.stats, detail=str(err))
     sys.stdout.write(emit_result(report, args.output))
     return 1 if report.status == STATUS_ERROR else 0
 

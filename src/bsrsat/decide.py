@@ -83,7 +83,7 @@ class ResourceLimitError(RuntimeError):
     """A budget exhausted before a verdict, with the partial stats;
     distinct from UNSAT."""
 
-    def __init__(self, message: str, stats: SolveStats | None = None):
+    def __init__(self, message: str, stats: SolveStats):
         super().__init__(message)
         self.stats = stats
 
@@ -450,13 +450,10 @@ def _candidates(fconsts):
     assignment may be taken onto its domain.  Two surjective candidates
     that induce the same partition differ by a renaming of the domain.
 
-    Without free constants a single anonymous element suffices, by the
-    same argument.
+    The normal form has at least one free constant
+    (``validate_normal_form``), so every domain is nonempty.
     """
     names = sorted(fconsts)
-    if not names:
-        yield ("e1",), {}
-        return
     for k in range(1, len(names) + 1):
         for blocks in _growth_strings(len(names), k):
             yield tuple(names[:k]), {n: names[b] for n, b in zip(names, blocks)}
@@ -488,45 +485,42 @@ def decide(
     """Exhaustive uniform-model search over a clause set in normal form
     (``normalize``); SAT with a verified model, or UNSAT.
 
-    Raises NormalFormError if ``cs`` is not in normal form, and
-    ResourceLimitError once more than ``max_candidates`` candidate
-    interpretations have been attempted.
+    It relies on nothing about ``cs`` beyond what ``validate_normal_form``
+    enforces, and counts the whole run, DPLL decisions included, in one
+    ``SolveStats``, which ends in the report or in the error.  Raises
+    NormalFormError if ``cs`` is not in normal form, and ResourceLimitError
+    once more than ``max_candidates`` candidate interpretations have been
+    attempted.
     """
     t0 = time.perf_counter()
     stats = SolveStats()
-    counters = {"decisions": 0}
     try:
-        return _decide_inner(cs, stats, counters, max_candidates)
+        validate_normal_form(cs)
+        for ctx in _contexts(cs, stats):
+            grounded = [g for g in (_ground_clause(ctx, cl, stats) for cl in cs.clauses)
+                        if g is not None]
+            for domain, assign in _candidates(cs.fconsts):
+                stats.candidates += 1
+                if max_candidates is not None and stats.candidates > max_candidates:
+                    raise ResourceLimitError(
+                        f"candidate limit exceeded ({max_candidates})", stats
+                    )
+                inst, atom_ids = _instantiate(grounded, domain, assign)
+                stats.prop_vars += inst.n_vars
+                stats.prop_clauses += len(inst.clauses)
+                model = _dpll(inst, stats)
+                if model is None:
+                    continue
+                table = {PropAtom._make(atom): model[vid] for atom, vid in atom_ids.items()}
+                desc = InterpretationDescriptor(ctx, domain, assign, table)
+                if not verify_model(cs, desc):
+                    raise RuntimeError(
+                        "internal error: candidate model failed semantic re-verification"
+                    )
+                return ResultReport(STATUS_SAT, desc, stats)
+        return ResultReport(STATUS_UNSAT, None, stats)
     finally:
-        stats.decisions = counters["decisions"]
         stats.wall_ms = int((time.perf_counter() - t0) * 1000)
-
-
-def _decide_inner(cs, stats, counters, max_candidates) -> ResultReport:
-    validate_normal_form(cs)
-    for ctx in _contexts(cs, stats):
-        grounded = [g for g in (_ground_clause(ctx, cl, stats) for cl in cs.clauses)
-                    if g is not None]
-        for domain, assign in _candidates(cs.fconsts):
-            stats.candidates += 1
-            if max_candidates is not None and stats.candidates > max_candidates:
-                raise ResourceLimitError(
-                    f"candidate limit exceeded ({max_candidates})", stats
-                )
-            inst, atom_ids = _instantiate(grounded, domain, assign)
-            stats.prop_vars += inst.n_vars
-            stats.prop_clauses += len(inst.clauses)
-            model = _dpll(inst, counters)
-            if model is None:
-                continue
-            table = {PropAtom._make(atom): model[vid] for atom, vid in atom_ids.items()}
-            desc = InterpretationDescriptor(ctx, domain, assign, table)
-            if not verify_model(cs, desc):
-                raise RuntimeError(
-                    "internal error: candidate model failed semantic re-verification"
-                )
-            return ResultReport(STATUS_SAT, desc, stats)
-    return ResultReport(STATUS_UNSAT, None, stats)
 
 
 def verify_model(cs: ClauseSet, desc: InterpretationDescriptor) -> bool:
@@ -676,14 +670,13 @@ def naive_decide(cs: ClauseSet, *, atom_budget: int = 16) -> ResultReport:
     stats = SolveStats()
     validate_normal_form(cs)
     names = sorted(cs.fconsts)
-    pool = names or ["e1"]
     try:
         for ctx in _contexts(cs, stats):
             sem = _semantic_clauses(ctx, cs, stats)
             candidates = (
                 (domain, dict(zip(names, values)))
-                for size in range(1, len(pool) + 1)
-                for domain in itertools.combinations(pool, size)
+                for size in range(1, len(names) + 1)
+                for domain in itertools.combinations(names, size)
                 for values in itertools.product(domain, repeat=len(names))
             )
             for domain, assign in candidates:

@@ -9,9 +9,12 @@ result is equisatisfiable with the input and satisfies the normal-form
 invariants checked by ``validate_normal_form``.
 
 Each check runs once, where its input enters: ``normalize`` validates the
-clause set it is given, and ``decide`` and ``naive_decide`` run
-``validate_normal_form`` on the set they receive.  Delay equations (x' = x +
-z) are rejected there too: ``ClauseSet.validate`` admits them in ``folla``
+clause set it is given and refuses any mode but ``slr`` and ``bd``, and
+``decide`` and ``naive_decide`` run ``validate_normal_form`` on the set
+they receive.  That function is the deciders' whole contract: they rely on
+nothing it does not enforce (an ``slr`` or ``bd`` set, at least one free
+constant, no constraint-only variable, ...).  Delay equations (x' = x + z)
+are rejected there too: ``ClauseSet.validate`` admits them in ``folla``
 mode only, so no step here meets one.  Automata and reachability goals are
 checked in ``timed`` before they are encoded.  ``normalize`` does not
 re-check its own output; the tests run that check over generated sets.
@@ -385,9 +388,15 @@ def normalize(cs: ClauseSet) -> ClauseSet:
 
 
 def validate_normal_form(cs: ClauseSet) -> None:
-    """Check the normal-form invariants on every clause that is not
-    definitional (``Clause.is_def_clause``)."""
+    """Check the normal-form invariants, the one contract of ``decide`` and
+    ``naive_decide``: a valid ``slr`` or ``bd`` set with at least one free
+    constant, and on every clause that is not definitional
+    (``Clause.is_def_clause``) no Skolem definition, only constant
+    references as ground terms, no constraint-only variable, integer
+    constants in ``bd``, and variables of its own."""
     cs.validate()
+    if cs.mode not in (MODE_SLR, MODE_BD):
+        raise NormalFormError(f"normal form requires mode slr or bd, not {cs.mode!r}")
     if not cs.fconsts:
         raise NormalFormError("normal form requires at least one free constant")
     seen_vars: set[str] = set()

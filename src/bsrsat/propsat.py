@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .report import SolveStats
+
 
 @dataclass
 class PropInstance:
@@ -28,13 +30,12 @@ def check_assignment(clauses, model: dict[int, bool]) -> bool:
     )
 
 
-def solve(
-    inst: PropInstance, counters: dict[str, int] | None = None
-) -> dict[int, bool] | None:
+def solve(inst: PropInstance, stats: SolveStats | None = None) -> dict[int, bool] | None:
     """Total satisfying assignment over 1..n_vars, or None.
 
-    When ``counters`` is given, its "decisions" entry is incremented once
-    per branching variable picked during the search.
+    When ``stats`` is given, its ``decisions`` field is incremented once per
+    branching variable picked during the search, so a caller that solves
+    many instances sums them in one account.
     """
     clauses: list[tuple[int, ...]] = []
     for raw in inst.clauses:
@@ -90,8 +91,8 @@ def solve(
                 cursor += 1
             if cursor > n:
                 return {v: assign[v] == 1 for v in range(1, n + 1)}
-            if counters is not None:
-                counters["decisions"] = counters.get("decisions", 0) + 1
+            if stats is not None:
+                stats.decisions += 1
             lit = -cursor
         else:
             # undo up to the latest decision that tried False and flip it

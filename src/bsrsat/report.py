@@ -8,7 +8,7 @@ by tests and scripts, the human form is a compact summary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 STATUS_SAT = "sat"
 STATUS_UNSAT = "unsat"
@@ -17,7 +17,14 @@ STATUS_ERROR = "error"
 
 @dataclass
 class SolveStats:
-    """Search counters; zero-filled fields simply stay zero.
+    """The one account of a run: every counter a decider keeps lives here.
+
+    ``decide`` and ``naive_decide`` fill one object per call, and
+    ``propsat.solve`` adds its branching decisions to the object it is
+    handed; a ``ResourceLimitError`` carries the object as it stood.  Each
+    field is one stat line, named after the field with ``_`` read as a
+    space (``prop_vars`` is ``prop vars``), in field order; zero-filled
+    fields simply stay zero.
 
     ``classes`` (the ``classes`` stat line) counts the region classes handed
     to grounding, summed over clauses.  ``decide`` streams only the classes
@@ -35,15 +42,7 @@ class SolveStats:
     wall_ms: int = 0
 
     def as_pairs(self) -> list[tuple[str, int]]:
-        return [
-            ("preorders", self.preorders),
-            ("candidates", self.candidates),
-            ("classes", self.classes),
-            ("prop vars", self.prop_vars),
-            ("prop clauses", self.prop_clauses),
-            ("decisions", self.decisions),
-            ("wall ms", self.wall_ms),
-        ]
+        return [(f.name.replace("_", " "), getattr(self, f.name)) for f in fields(self)]
 
 
 @dataclass

@@ -433,12 +433,6 @@ class Clause:
     def free_vars(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(v for a in self.gamma + self.delta for v in atom_free_vars(a)))
 
-    def skolems(self) -> frozenset[str]:
-        s: frozenset[str] = frozenset()
-        for c in self.lam:
-            s |= constraint_skolems(c)
-        return s
-
     def rationals(self) -> frozenset[Fraction]:
         s: frozenset[Fraction] = frozenset()
         for c in self.lam:

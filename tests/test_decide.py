@@ -4,11 +4,12 @@ import ast
 import inspect
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from bsrsat import corpus, decide as decide_mod
+from bsrsat import corpus, decide as decide_mod, regions
 from bsrsat.decide import (
     NaiveBudgetError,
     ResourceLimitError,
@@ -33,7 +34,18 @@ from bsrsat.report import (
     SolveStats,
     emit_result,
 )
-from bsrsat.terms import Clause, Equation, FreeTerm, GroundTerm, PredAtom, Relation, VarConst
+from bsrsat.terms import (
+    Clause,
+    DiffConst,
+    Equation,
+    FreeTerm,
+    GroundTerm,
+    GuardViolationError,
+    PredAtom,
+    Relation,
+    VarConst,
+    VarVar,
+)
 from test_golden_output import DECIDE_CASES
 
 
@@ -349,14 +361,11 @@ def test_max_candidates_raises_with_stats():
 # --- free-constant candidates -----------------------------------------------
 
 
-@pytest.mark.parametrize("n, bell", [(0, 1), (1, 1), (2, 2), (3, 5), (4, 15), (5, 52)])
+@pytest.mark.parametrize("n, bell", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)])
 def test_candidates_are_one_per_set_partition(n, bell):
     names = [f"c{i}" for i in range(n)]
     cands = list(_candidates(reversed(names)))
     assert len(cands) == bell
-    if n == 0:
-        assert cands == [(("e1",), {})]
-        return
     partitions = set()
     for domain, assign in cands:
         k = len(domain)
@@ -451,6 +460,47 @@ def test_decide_agrees_with_naive_on_small_corpus():
         assert decide(n).status == naive_decide(n).status
 
 
+def _with_disequations(cs, rng, p=0.4):
+    """cs with the relation of each variable premise conjunct turned into
+    ``!=`` with probability p; the pool draws none of their own."""
+    for i, cl in enumerate(cs.clauses):
+        lam = [replace(c, rel=Relation.NEQ)
+               if isinstance(c, (VarConst, VarVar, DiffConst)) and rng.random() < p else c
+               for c in cl.lam]
+        cs.clauses[i] = Clause.make(lam, cl.gamma, cl.delta)
+    return cs
+
+
+def test_decide_agrees_with_naive_on_disequation_premises(monkeypatch):
+    # in-range x_b - x_a != d checks are floor holes of the bd streams
+    holes = 0
+
+    def counted(*args):
+        nonlocal holes
+        cuts = pair_cuts(*args)
+        holes += cuts is not None and bool(cuts[2])
+        return cuts
+
+    pair_cuts = regions._pair_cuts
+    monkeypatch.setattr(regions, "_pair_cuts", counted)
+    rng = random.Random(11)
+    decided = 0
+    for i in range(120):
+        cs = _with_disequations((corpus._raw_bd, corpus._raw_slr)[i % 2](rng), rng)
+        try:
+            n = normalize(cs)
+        except GuardViolationError:
+            continue  # a bound that guarded x - y became x != c
+        try:
+            naive = naive_decide(n)
+        except NaiveBudgetError:
+            continue
+        decided += 1
+        assert decide(n).status == naive.status
+    assert decided >= 50
+    assert holes > 0
+
+
 # --- stats and reports ------------------------------------------------------
 
 
@@ -461,6 +511,30 @@ def test_stats_are_populated():
     assert r.stats.candidates >= 1
     assert r.stats.prop_vars >= 1
     assert r.stats.wall_ms >= 0
+
+
+def test_dpll_counts_its_decisions_into_the_report(monkeypatch):
+    handed, total = [], 0
+
+    def spy(inst, stats):
+        nonlocal total
+        own = SolveStats()
+        dpll(inst, own)
+        total += own.decisions
+        handed.append(stats)
+        return dpll(inst, stats)
+
+    dpll = decide_mod._dpll
+    monkeypatch.setattr(decide_mod, "_dpll", spy)
+    rng = random.Random(3)
+    branched = 0
+    for i in range(20):
+        handed, total = [], 0
+        r = decide(normalize((corpus._raw_bd, corpus._raw_slr)[i % 2](rng)))
+        assert all(stats is r.stats for stats in handed)
+        assert r.stats.decisions == total
+        branched += total > 0
+    assert branched >= 3
 
 
 def test_report_model_status_coupling():

@@ -27,6 +27,7 @@ from bsrsat.terms import (
     FreeTerm,
     GroundTerm,
     MODE_BD,
+    MODE_FOLLA,
     MODE_SLR,
     PredAtom,
     Relation,
@@ -202,6 +203,36 @@ def test_eliminate_keeps_atom_variables():
     )
     out = eliminate_constraint_only_vars(bd_set([cl], {"P": (0, 1)}))
     assert out.clauses == [cl]
+
+
+def _with_premise(cs, i, extra):
+    """A copy of cs whose clause i has the premise conjuncts extra as well."""
+    cl = cs.clauses[i]
+    clauses = list(cs.clauses)
+    clauses[i] = Clause.make([*cl.lam, *extra], cl.gamma, cl.delta)
+    return ClauseSet(cs.mode, clauses, dict(cs.signature), list(cs.fconsts), list(cs.skolems))
+
+
+def test_eliminated_variables_keep_the_verdict_on_pool_draws():
+    # a fresh w, in the constraint part only, that normalize must project out:
+    # x <= w; w < y says x < y, and w != x says nothing
+    rng = random.Random(5)
+    probes = 0
+    for k in range(60):
+        cs = (corpus._raw_bd, corpus._raw_slr)[k % 2](rng)
+        open_ = [i for i, cl in enumerate(cs.clauses) if cl.base_vars()]
+        if not open_:
+            continue
+        i = rng.choice(open_)
+        x, y = (rng.choice(cs.clauses[i].base_vars()) for _ in "xy")
+        between = [VarVar(x, Relation.LE, "w"), VarVar("w", Relation.LT, y)]
+        assert decide(normalize(_with_premise(cs, i, between))).status == decide(
+            normalize(_with_premise(cs, i, [VarVar(x, Relation.LT, y)]))).status
+        apart = [VarVar("w", Relation.NEQ, x)]
+        assert decide(normalize(_with_premise(cs, i, apart))).status == decide(
+            normalize(cs)).status
+        probes += 2
+    assert probes >= 100
 
 
 # --- ground-term splitting (SLR) --------------------------------------------
@@ -419,3 +450,22 @@ def test_deciders_reject_a_set_not_in_normal_form(solver):
     cs = parse_clause_set("mode bd\npred P : S^0 R^1\nclause [] [] -> [P(x)]\n")
     with pytest.raises(NormalFormError):
         solver(cs)
+
+
+def _folla_sets():
+    # a clause any mode admits, and one with a difference premise
+    below = VarConst("x", Relation.LT, GroundTerm.constant(1))
+    yield ClauseSet(MODE_FOLLA, [Clause.make([below], [], [atom("P", "x")])],
+                    {"P": (0, 1)}, ["a"])
+    diff = DiffConst("x", "y", Relation.LT, Fraction(1))
+    yield ClauseSet(MODE_FOLLA, [Clause.make([diff], [], [atom("P", "x", "y")])],
+                    {"P": (0, 2)}, ["a"])
+
+
+@pytest.mark.parametrize("solver", [validate_normal_form, decide, naive_decide])
+def test_only_slr_and_bd_sets_are_in_normal_form(solver):
+    for cs in _folla_sets():
+        cs.validate()
+        with pytest.raises(NormalFormError) as exc:
+            solver(cs)
+        assert str(exc.value) == "normal form requires mode slr or bd, not 'folla'"

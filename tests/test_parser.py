@@ -139,6 +139,20 @@ def test_round_trip_generated_slr_sets():
      "line 3, col 14: expected 'guard', found 'reset'"),
     (parse_ta, "clocks x\nloc a init inv true\ntrans a -> a guard true {x}\n",
      "line 3, col 25: expected 'reset', found '{'"),
+    # the errors raised at the token in hand, or at the end of the line
+    (parse_clause_set, "mode bd\nfreeconst\n",
+     "line 2, col 10: freeconst needs at least one name"),
+    (parse_clause_set, "mode slr\nskolem\n",
+     "line 2, col 7: skolem needs at least one name"),
+    (parse_ta, "clocks\n",
+     "line 1, col 7: clocks needs at least one name"),
+    (parse_clause_set, "mode bd\npred P : S^0 R^1\nclause [x <\n",
+     "line 3, col 12: expected a ground term"),
+    (parse_clause_set, "mode bd\npred P : S^0 R^1\nclause [] [P] -> []\n",
+     "line 3, col 13: expected '~' or '(' after atom head"),
+    (parse_ta, "clocks x y\nloc a init inv true\nloc b inv true\n"
+               "trans a -> b guard x < 1 y reset {}\n",
+     "line 4, col 26: expected ',' or 'reset'"),
 ])
 def test_name_and_keyword_errors_keep_their_messages(parse, text, message):
     with pytest.raises(ParseError) as exc:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsrsat.propsat import PropInstance, check_assignment, solve
+from bsrsat.report import SolveStats
 
 
 def brute_force(inst):
@@ -59,10 +60,10 @@ def test_pigeonhole_three_into_two_unsat():
     for j in range(2):
         for i1, i2 in itertools.combinations(range(3), 2):
             inst.add((-v(i1, j), -v(i2, j)))
-    counters = {"decisions": 0}
-    assert solve(inst, counters) is None
+    stats = SolveStats()
+    assert solve(inst, stats) is None
     # 1=F and 1=T each propagate to a conflict: one branching variable
-    assert counters["decisions"] == 1
+    assert stats.decisions == 1
 
 
 def test_solution_is_total_assignment():
@@ -73,13 +74,16 @@ def test_solution_is_total_assignment():
 
 
 def test_decision_counter_counts_branches():
-    counters = {"decisions": 0}
-    solve(PropInstance(3, [(1, 2), (2, 3)]), counters)
+    stats = SolveStats()
+    solve(PropInstance(3, [(1, 2), (2, 3)]), stats)
     # 1=F forces 2=T; 3 is then a free branch
-    assert counters["decisions"] == 2
-    forced = {"decisions": 0}
+    assert stats.decisions == 2
+    forced = SolveStats()
     solve(PropInstance(2, [(1,), (2,)]), forced)
-    assert forced["decisions"] == 0
+    assert forced.decisions == 0
+    # decisions add up on the object a caller hands over
+    solve(PropInstance(3, [(1, 2), (2, 3)]), stats)
+    assert stats.decisions == 4
 
 
 def test_search_order_is_deterministic():
