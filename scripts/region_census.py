@@ -11,6 +11,7 @@ import sys
 import time
 from fractions import Fraction
 
+from bsrsat.cli import _int_at_least
 from bsrsat.regions import (PartitionJ, class_of_bd, class_of_slr,
                             enumerate_bd_bounded, enumerate_bd_unbounded,
                             enumerate_slr_classes, representative)
@@ -62,11 +63,11 @@ def bd_rows(args):
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--mode", choices=("slr", "bd"), required=True)
-    ap.add_argument("--max-arity", type=int, default=3)
-    ap.add_argument("--kappa", type=int, default=1)
+    ap.add_argument("--max-arity", type=_int_at_least(1), default=3)
+    ap.add_argument("--kappa", type=_int_at_least(0), default=1)
     ap.add_argument("--points", default="", help="partition points (slr)")
     ap.add_argument("--bounded", action="store_true")
-    ap.add_argument("--step", type=int, default=16, help="grid step 1/STEP")
+    ap.add_argument("--step", type=_int_at_least(1), default=16, help="grid step 1/STEP")
     args = ap.parse_args()
     if args.mode == "slr" and args.bounded:
         ap.error("argument --bounded: not allowed with --mode slr")

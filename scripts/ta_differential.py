@@ -9,6 +9,7 @@ import argparse
 import sys
 import time
 
+from bsrsat.cli import _int_at_least
 from bsrsat.corpus import timed_instances
 from bsrsat.decide import decide
 from bsrsat.normalize import normalize
@@ -19,8 +20,8 @@ from bsrsat.timed import default_lambda, encode_reachability, region_reach
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--count", type=int, default=20)
-    ap.add_argument("--lam", type=int, default=None,
+    ap.add_argument("--count", type=_int_at_least(1), default=20)
+    ap.add_argument("--lam", type=_int_at_least(1), default=None,
                     help="override the delay granularity for both backends")
     args = ap.parse_args()
 

@@ -255,10 +255,7 @@ def main(argv=None) -> int:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
     except (FragmentError, GuardViolationError, SortDisciplineError,
-            NormalFormError, TimedAutomatonError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+            NormalFormError, TimedAutomatonError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -104,16 +104,23 @@ def _bd_lambda(rng: random.Random, base_vars) -> list:
     return lam
 
 
-def _raw_bd(rng: random.Random) -> ClauseSet:
-    sig = _signature(rng, rng.choice((1, 2)))
-    fconsts = ["a", "b"][: rng.choice((1, 2))]
-    cs = ClauseSet(MODE_BD, [], sig, fconsts, [])
+def _raw_clauses(rng: random.Random, sig, fconsts, lam_of) -> tuple[Clause, ...]:
+    """Two to four random clauses; lam_of(base variables) draws the
+    constraint part of each."""
+    clauses = []
     for _ in range(rng.randint(2, 4)):
         gamma, delta = _atoms(rng, sig, fconsts, rng.randint(1, 3))
         used = sorted({v for a in gamma + delta
                        for v in (a.base_args if isinstance(a, PredAtom) else ())})
-        cs.clauses.append(Clause.make(_bd_lambda(rng, used), gamma, delta))
-    return cs
+        clauses.append(Clause.make(lam_of(used), gamma, delta))
+    return tuple(clauses)
+
+
+def _raw_bd(rng: random.Random) -> ClauseSet:
+    sig = _signature(rng, rng.choice((1, 2)))
+    fconsts = ("a", "b")[: rng.choice((1, 2))]
+    clauses = _raw_clauses(rng, sig, fconsts, lambda used: _bd_lambda(rng, used))
+    return ClauseSet(MODE_BD, clauses, sig, fconsts)
 
 
 def _slr_lambda(rng: random.Random, base_vars, skolems) -> list:
@@ -144,15 +151,10 @@ def _slr_lambda(rng: random.Random, base_vars, skolems) -> list:
 
 def _raw_slr(rng: random.Random) -> ClauseSet:
     sig = _signature(rng, rng.choice((1, 2)))
-    fconsts = ["a", "b"][: rng.choice((1, 2))]
-    skolems = ["d", "e"][: rng.choice((0, 1, 1, 2))]
-    cs = ClauseSet(MODE_SLR, [], sig, fconsts, skolems)
-    for _ in range(rng.randint(2, 4)):
-        gamma, delta = _atoms(rng, sig, fconsts, rng.randint(1, 3))
-        used = sorted({v for a in gamma + delta
-                       for v in (a.base_args if isinstance(a, PredAtom) else ())})
-        cs.clauses.append(Clause.make(_slr_lambda(rng, used, skolems), gamma, delta))
-    return cs
+    fconsts = ("a", "b")[: rng.choice((1, 2))]
+    skolems = ("d", "e")[: rng.choice((0, 1, 1, 2))]
+    clauses = _raw_clauses(rng, sig, fconsts, lambda used: _slr_lambda(rng, used, skolems))
+    return ClauseSet(MODE_SLR, clauses, sig, fconsts, skolems)
 
 
 def _usable(n: ClauseSet) -> tuple[str, object] | None:

@@ -8,6 +8,11 @@ renames clauses apart, and guarantees at least one free constant.  The
 result is equisatisfiable with the input and satisfies the normal-form
 invariants checked by ``validate_normal_form``.
 
+Each stage returns a new ``ClauseSet``, derived with ``_replace``, and
+writes nothing into the set it is given.  A stage that has nothing to change
+(``pad_predicates`` on a uniform signature, ``scale_to_integers`` on integer
+constants) returns its input itself.
+
 Each check runs once, where its input enters: ``normalize`` validates the
 clause set it is given and refuses any mode but ``slr`` and ``bd``, and
 ``decide`` and ``naive_decide`` run ``validate_normal_form`` on the set
@@ -71,19 +76,18 @@ def pad_predicates(cs: ClauseSet) -> ClauseSet:
     repeated across all the new positions of that occurrence.
     """
     if not cs.signature:
-        return _copy(cs)
+        return cs
     mf = max(a for a, _ in cs.signature.values())
     mb = max(b for _, b in cs.signature.values())
     if all((a, b) == (mf, mb) for a, b in cs.signature.values()):
-        return _copy(cs)
+        return cs
     counter = _FreshNames(VAR_PREFIX, _used_names(cs))
     clauses = []
     for cl in cs.clauses:
         gamma = [_pad_atom(a, cs.signature, mf, mb, counter) for a in cl.gamma]
         delta = [_pad_atom(a, cs.signature, mf, mb, counter) for a in cl.delta]
         clauses.append(Clause.make(cl.lam, gamma, delta))
-    signature = {p: (mf, mb) for p in cs.signature}
-    return ClauseSet(cs.mode, clauses, signature, list(cs.fconsts), list(cs.skolems))
+    return cs._replace(clauses=tuple(clauses), signature={p: (mf, mb) for p in cs.signature})
 
 
 def _pad_atom(atom, signature, mf: int, mb: int, counter: "_FreshNames"):
@@ -112,12 +116,12 @@ def scale_to_integers(cs: ClauseSet) -> ClauseSet:
     denoms = [q.denominator for q in cs.rationals()]
     scale = math.lcm(*denoms) if denoms else 1
     if scale == 1:
-        return _copy(cs)
+        return cs
     clauses = []
     for cl in cs.clauses:
         lam = [_scale_constraint(c, scale) for c in cl.lam]
         clauses.append(Clause.make(lam, cl.gamma, cl.delta))
-    return ClauseSet(cs.mode, clauses, dict(cs.signature), list(cs.fconsts), list(cs.skolems))
+    return cs._replace(clauses=tuple(clauses))
 
 
 def _scale_constraint(c: Constraint, scale: int) -> Constraint:
@@ -146,8 +150,7 @@ def eliminate_constraint_only_vars(cs: ClauseSet) -> ClauseSet:
     clauses: list[Clause] = []
     for cl in cs.clauses:
         clauses.extend(_eliminate_clause(cl, cs.mode))
-    deduped = list(dict.fromkeys(clauses))
-    return ClauseSet(cs.mode, deduped, dict(cs.signature), list(cs.fconsts), list(cs.skolems))
+    return cs._replace(clauses=tuple(dict.fromkeys(clauses)))
 
 
 def _eliminate_clause(cl: Clause, mode: str) -> list[Clause]:
@@ -186,28 +189,27 @@ def _mark(var: str) -> GroundTerm:
     return GroundTerm.skolem(_VAR_MARK + var)
 
 
-def _encode_constraint(c: Constraint) -> tuple[GroundTerm, Relation, GroundTerm] | None:
-    """Constraint as a ground comparison with clause variables marked."""
+def _encode_constraint(c: VarConst | VarVar | DiffConst) -> tuple[GroundTerm, Relation, GroundTerm]:
+    """A bound, comparison or difference as a ground comparison with clause
+    variables marked."""
     if isinstance(c, VarConst):
         return _mark(c.var), c.rel, c.bound
     if isinstance(c, VarVar):
         return _mark(c.var), c.rel, _mark(c.other)
-    if isinstance(c, DiffConst):
-        return _mark(c.var).sub(_mark(c.other)), c.rel, GroundTerm.constant(c.const)
-    if isinstance(c, GroundCmp):
-        return c.left, c.rel, c.right
-    return None  # SkolemDef: variable-free, reattached verbatim
+    return _mark(c.var).sub(_mark(c.other)), c.rel, GroundTerm.constant(c.const)
 
 
 def _project_vars(lam: list[Constraint], elim: list[str], mode: str) -> list[Constraint] | None:
+    """The conjunction lam with the variables elim projected out, or None
+    when it is unsatisfiable.  Only the constraints that mention a variable
+    of elim go through Fourier-Motzkin; the others are kept as they are."""
     kept: list[Constraint] = []
     sys = GroundSystem()
     for c in lam:
-        enc = _encode_constraint(c)
-        if enc is None:
-            kept.append(c)
+        if any(v in elim for v in constraint_vars(c)):
+            sys.add(*_encode_constraint(c))
         else:
-            sys.add(*enc)
+            kept.append(c)
     for v in elim:
         sys = fm_project(sys, _VAR_MARK + v)
     for left, rel, right in sys.constraints:
@@ -266,8 +268,8 @@ def split_ground_terms(cs: ClauseSet) -> ClauseSet:
     share one name.
     """
     defs = cs.def_clauses()
-    skolems = list(cs.skolems)
-    counter = _FreshNames(SKOLEM_PREFIX, set(skolems))
+    fresh_skolems: list[str] = []
+    counter = _FreshNames(SKOLEM_PREFIX, cs.skolems)
     by_term: dict[GroundTerm, str] = {}
     for cl in defs:
         d = cl.lam[0]
@@ -279,7 +281,7 @@ def split_ground_terms(cs: ClauseSet) -> ClauseSet:
         if t not in by_term:
             fresh = counter.next()
             by_term[t] = fresh
-            skolems.append(fresh)
+            fresh_skolems.append(fresh)
             defs.append(Clause.make([SkolemDef(fresh, t)], [], []))
         return GroundTerm.skolem(by_term[t])
 
@@ -298,7 +300,7 @@ def split_ground_terms(cs: ClauseSet) -> ClauseSet:
             else:
                 lam.append(c)
         core.append(Clause.make(lam, cl.gamma, cl.delta))
-    return ClauseSet(cs.mode, defs + core, dict(cs.signature), list(cs.fconsts), skolems)
+    return cs._replace(clauses=tuple(defs + core), skolems=(*cs.skolems, *fresh_skolems))
 
 
 # --- renaming and assembly -------------------------------------------------
@@ -327,10 +329,6 @@ def _used_names(cs: ClauseSet) -> set[str]:
     return used
 
 
-def _copy(cs: ClauseSet) -> ClauseSet:
-    return ClauseSet(cs.mode, list(cs.clauses), dict(cs.signature), list(cs.fconsts), list(cs.skolems))
-
-
 def rename_apart(cs: ClauseSet) -> ClauseSet:
     """Give every clause its own disjoint variable names (_v0, _v1, ...).
 
@@ -343,7 +341,7 @@ def rename_apart(cs: ClauseSet) -> ClauseSet:
             if v not in mapping:
                 mapping[v] = counter.next()
         clauses.append(_rename_clause(cl, mapping))
-    return ClauseSet(cs.mode, clauses, dict(cs.signature), list(cs.fconsts), list(cs.skolems))
+    return cs._replace(clauses=tuple(clauses))
 
 
 def _rename_clause(cl: Clause, mapping: dict[str, str]) -> Clause:
@@ -380,7 +378,7 @@ def normalize(cs: ClauseSet) -> ClauseSet:
         out = split_ground_terms(out)
     out = rename_apart(out)
     if not out.fconsts:
-        out.fconsts.append(_FreshNames(FCONST_PREFIX, _used_names(out)).next())
+        out = out._replace(fconsts=(_FreshNames(FCONST_PREFIX, _used_names(out)).next(),))
     return out
 
 

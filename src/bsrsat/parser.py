@@ -218,7 +218,7 @@ def parse_clause_set(text: str) -> ClauseSet:
             raise ParseError(f"unknown declaration {head.text!r}", head.line, head.col)
     if st.mode is None:
         raise ParseError("missing mode declaration", 1, 1)
-    cs = ClauseSet(st.mode, st.clauses, st.signature, st.fconsts, st.skolems)
+    cs = ClauseSet(st.mode, tuple(st.clauses), st.signature, tuple(st.fconsts), tuple(st.skolems))
     cs.validate()
     return cs
 
@@ -493,8 +493,7 @@ def _int_const(s: _Stream) -> Fraction:
     t = s.peek()
     q = _fraction(s)
     if q.denominator != 1:
-        line, col = (t.line, t.col) if t is not None else (s.line, 1)
-        raise ParseError(f"clock constraint constant must be an integer, got {q}", line, col)
+        raise ParseError(f"clock constraint constant must be an integer, got {q}", t.line, t.col)
     return q
 
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -485,13 +485,18 @@ MODE_BD = "bd"
 MODE_FOLLA = "folla"  # intermediate timed encoding; not decidable directly
 
 
-@dataclass
-class ClauseSet:
+class ClauseSet(NamedTuple):
+    """A clause set is a value: no field is rebound or written after it is
+    built.  A transformation derives a new set with ``cs._replace(...)``,
+    sharing every field it does not change, and never writes into ``cs``.
+    Equality is that of the tuple, so ``clauses``, ``fconsts`` and
+    ``skolems`` are tuples."""
+
     mode: str
-    clauses: list[Clause] = field(default_factory=list)
-    signature: dict[str, tuple[int, int]] = field(default_factory=dict)
-    fconsts: list[str] = field(default_factory=list)
-    skolems: list[str] = field(default_factory=list)
+    clauses: tuple[Clause, ...]
+    signature: Mapping[str, tuple[int, int]]
+    fconsts: tuple[str, ...] = ()
+    skolems: tuple[str, ...] = ()
 
     def rationals(self) -> set[Fraction]:
         out: set[Fraction] = set()

@@ -124,10 +124,11 @@ class Transition:
         return f"trans {self.source} -> {self.target} guard {self.guard} reset {{{rs}}}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimedAutomaton:
     """A timed automaton, checked once, when it is built: every entry point
-    (parser, corpus, encoders, oracle) can rely on a well-formed one."""
+    (parser, corpus, encoders, oracle) can rely on a well-formed one.  It is
+    frozen, so no field can be rebound past that check."""
 
     clocks: tuple[str, ...]
     locations: tuple[str, ...]
@@ -248,12 +249,7 @@ def encode_fol_la(aut: TimedAutomaton) -> ClauseSet:
         clauses.append(
             Clause.make(lam, [reach_atom(t.source, xs)], [reach_atom(t.target, xs, primed=True)])
         )
-    return ClauseSet(
-        MODE_FOLLA,
-        clauses,
-        signature={REACH: (1, len(xs))},
-        fconsts=list(aut.locations),
-    )
+    return ClauseSet(MODE_FOLLA, tuple(clauses), {REACH: (1, len(xs))}, aut.locations)
 
 
 # --- delay lowering --------------------------------------------------------
@@ -357,7 +353,7 @@ def lower_delay_clauses(cs: ClauseSet, lam: int) -> ClauseSet:
             lam_atoms += [VarVar(primed[x], Relation.GE, x) for x in clocks]
             lam_atoms += rest
             out.append(Clause.make(lam_atoms, cl.gamma, cl.delta))
-    return ClauseSet(cs.mode, out, dict(cs.signature), list(cs.fconsts), list(cs.skolems))
+    return cs._replace(clauses=tuple(out))
 
 
 def bound_clocks(cs: ClauseSet, kappa: int) -> ClauseSet:
@@ -379,7 +375,7 @@ def bound_clocks(cs: ClauseSet, kappa: int) -> ClauseSet:
                 if atom not in present:
                     lam.append(atom)
         out.append(Clause.make(lam, cl.gamma, cl.delta))
-    return ClauseSet(MODE_BD, out, dict(cs.signature), list(cs.fconsts), [])
+    return cs._replace(mode=MODE_BD, clauses=tuple(out), skolems=())
 
 
 def encode_reachability(
@@ -397,9 +393,8 @@ def encode_reachability(
     if lam is None:
         lam = default_lambda(aut, query)
     cs = lower_delay_clauses(encode_fol_la(aut), lam)
-    goal = Clause.make(list(query.constraint.atoms), [reach_atom(query.location, aut.clocks)], [])
-    cs.clauses.append(goal)
-    return bound_clocks(cs, lam + 1)
+    goal = Clause.make(query.constraint.atoms, [reach_atom(query.location, aut.clocks)], [])
+    return bound_clocks(cs._replace(clauses=(*cs.clauses, goal)), lam + 1)
 
 
 # --- region-graph oracle ---------------------------------------------------

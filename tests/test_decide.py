@@ -408,12 +408,11 @@ def _with_constant_c(cs):
         return PredAtom(atom.pred, tuple(map(sub, atom.free_args)), atom.base_args)
 
     first = cs.clauses[0]
-    cs.clauses.append(Clause.make(
+    copy = Clause.make(
         list(first.lam), [swap(x) for x in first.gamma], [swap(x) for x in first.delta]
-    ))
-    cs.clauses.append(Clause.make([], [Equation(a, c)], []))
-    cs.fconsts = list(cs.fconsts) + ["c"]
-    return cs
+    )
+    return cs._replace(clauses=(*cs.clauses, copy, Clause.make([], [Equation(a, c)], [])),
+                       fconsts=(*cs.fconsts, "c"))
 
 
 def _non_stat_lines(report):
@@ -463,12 +462,13 @@ def test_decide_agrees_with_naive_on_small_corpus():
 def _with_disequations(cs, rng, p=0.4):
     """cs with the relation of each variable premise conjunct turned into
     ``!=`` with probability p; the pool draws none of their own."""
-    for i, cl in enumerate(cs.clauses):
+    clauses = []
+    for cl in cs.clauses:
         lam = [replace(c, rel=Relation.NEQ)
                if isinstance(c, (VarConst, VarVar, DiffConst)) and rng.random() < p else c
                for c in cl.lam]
-        cs.clauses[i] = Clause.make(lam, cl.gamma, cl.delta)
-    return cs
+        clauses.append(Clause.make(lam, cl.gamma, cl.delta))
+    return cs._replace(clauses=tuple(clauses))
 
 
 def test_decide_agrees_with_naive_on_disequation_premises(monkeypatch):

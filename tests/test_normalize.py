@@ -1,5 +1,6 @@
 """Normal-form pipeline stages and the validator."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from bsrsat.normalize import (
     split_ground_terms,
     validate_normal_form,
 )
-from bsrsat.parser import parse_clause_set, parse_goal, parse_ta
+from bsrsat.parser import parse_clause_set, parse_goal, parse_ta, print_clause_set
 from bsrsat.terms import (
     Clause,
     ClauseSet,
@@ -25,6 +26,7 @@ from bsrsat.terms import (
     DiffConst,
     FragmentError,
     FreeTerm,
+    GroundCmp,
     GroundTerm,
     MODE_BD,
     MODE_FOLLA,
@@ -55,11 +57,11 @@ def atom(pred, *base, free=()):
 
 
 def bd_set(clauses, signature, fconsts=("a",)):
-    return ClauseSet(MODE_BD, list(clauses), dict(signature), list(fconsts))
+    return ClauseSet(MODE_BD, tuple(clauses), dict(signature), tuple(fconsts))
 
 
 def slr_set(clauses, signature, fconsts=("a",), skolems=()):
-    return ClauseSet(MODE_SLR, list(clauses), dict(signature), list(fconsts), list(skolems))
+    return ClauseSet(MODE_SLR, tuple(clauses), dict(signature), tuple(fconsts), tuple(skolems))
 
 
 # --- padding ----------------------------------------------------------------
@@ -83,6 +85,31 @@ def test_pad_unifies_mixed_sorts():
 def test_pad_is_identity_on_uniform_signature():
     cs = bd_set([Clause.make([], [], [atom("P", "x")])], {"P": (0, 1)})
     assert pad_predicates(cs).clauses == cs.clauses
+
+
+def test_stages_with_nothing_to_change_return_their_input():
+    cl = Clause.make([VarConst("x", Relation.LT, GroundTerm.constant(1))], [], [atom("P", "x")])
+    cs = bd_set([cl], {"P": (0, 1)})
+    assert pad_predicates(cs) is cs
+    assert scale_to_integers(cs) is cs
+
+
+def test_normalize_leaves_its_argument_unchanged():
+    # mixed sorts (padding), a fraction (scaling), a constraint-only w
+    # (elimination), a compound bound (splitting) and no free constant
+    sets = [parse_clause_set(
+        "mode bd\npred P : S^0 R^1\npred Q : S^1 R^2\n"
+        "clause [x >= 0; x <= 1/2; w != x] [] -> [P(x)]\n"
+        "clause [] [P(y)] -> [Q(u, y, y)]\n"
+    ), parse_clause_set(
+        "mode slr\npred P : S^0 R^1\nskolem d\nclause [x <= d + 1] [] -> [P(x)]\n"
+    )]
+    rng = random.Random(3)
+    sets += [(corpus._raw_bd, corpus._raw_slr)[k % 2](rng) for k in range(20)]
+    for cs in sets:
+        before = copy.deepcopy(cs)
+        normalize(cs)
+        assert cs == before
 
 
 def test_pad_repeats_one_fresh_variable_per_occurrence():
@@ -174,7 +201,7 @@ def test_eliminate_drops_vacuous_clause():
         [atom("P", "x")],
     )
     out = eliminate_constraint_only_vars(bd_set([cl], {"P": (0, 1)}))
-    assert out.clauses == []
+    assert out.clauses == ()
 
 
 def test_eliminate_splits_disequation():
@@ -195,6 +222,27 @@ def test_eliminate_splits_disequation():
         assert "y" not in {v for con in c.lam for v in _cvars(con)}
 
 
+def test_eliminate_rewrites_only_what_it_eliminates():
+    # constraints that do not mention w come through as they are: x - y >= 0
+    # stays a difference, and the ground e <= d needs no fresh Skolem name
+    bd = parse_clause_set(
+        "mode bd\npred P : S^0 R^2\nfreeconst a\n"
+        "clause [x >= 0; x <= 1; y >= 0; y <= 1; x - y >= 0; w != x] [] -> [P(x, y)]\n"
+    )
+    diff = DiffConst("x", "y", Relation.GE, Fraction(0))
+    for cl in eliminate_constraint_only_vars(bd).clauses:
+        assert diff in cl.lam
+    assert "_v0 - _v1 >= 0" in print_clause_set(normalize(bd))
+    slr = parse_clause_set(
+        "mode slr\npred P : S^0 R^1\nfreeconst a\nskolem d e\n"
+        "clause [e <= d; x < 1; w != x] [] -> [P(x)]\n"
+    )
+    n = normalize(slr)
+    assert n.skolems == ("d", "e") and not n.def_clauses()
+    ground = GroundCmp(GroundTerm.skolem("e"), Relation.LE, GroundTerm.skolem("d"))
+    assert all(ground in cl.lam for cl in n.clauses)
+
+
 def test_eliminate_keeps_atom_variables():
     cl = Clause.make(
         [VarConst("x", Relation.LT, GroundTerm.constant(1))],
@@ -202,20 +250,21 @@ def test_eliminate_keeps_atom_variables():
         [atom("P", "x")],
     )
     out = eliminate_constraint_only_vars(bd_set([cl], {"P": (0, 1)}))
-    assert out.clauses == [cl]
+    assert out.clauses == (cl,)
 
 
 def _with_premise(cs, i, extra):
-    """A copy of cs whose clause i has the premise conjuncts extra as well."""
+    """cs with clause i given the premise conjuncts extra as well."""
     cl = cs.clauses[i]
-    clauses = list(cs.clauses)
-    clauses[i] = Clause.make([*cl.lam, *extra], cl.gamma, cl.delta)
-    return ClauseSet(cs.mode, clauses, dict(cs.signature), list(cs.fconsts), list(cs.skolems))
+    extended = Clause.make([*cl.lam, *extra], cl.gamma, cl.delta)
+    return cs._replace(clauses=(*cs.clauses[:i], extended, *cs.clauses[i + 1:]))
 
 
 def test_eliminated_variables_keep_the_verdict_on_pool_draws():
     # a fresh w, in the constraint part only, that normalize must project out:
-    # x <= w; w < y says x < y, and w != x says nothing
+    # x <= w; w < y says x < y, and w != x says nothing, so that the set
+    # normalizes to the draw's own normal form: elimination rewrites only
+    # the constraints that mention w
     rng = random.Random(5)
     probes = 0
     for k in range(60):
@@ -228,9 +277,10 @@ def test_eliminated_variables_keep_the_verdict_on_pool_draws():
         between = [VarVar(x, Relation.LE, "w"), VarVar("w", Relation.LT, y)]
         assert decide(normalize(_with_premise(cs, i, between))).status == decide(
             normalize(_with_premise(cs, i, [VarVar(x, Relation.LT, y)]))).status
-        apart = [VarVar("w", Relation.NEQ, x)]
-        assert decide(normalize(_with_premise(cs, i, apart))).status == decide(
-            normalize(cs)).status
+        apart = normalize(_with_premise(cs, i, [VarVar("w", Relation.NEQ, x)]))
+        own = normalize(cs)
+        assert decide(apart).status == decide(own).status
+        assert print_clause_set(apart) == print_clause_set(own)
         probes += 2
     assert probes >= 100
 
@@ -273,7 +323,7 @@ def test_split_leaves_plain_bounds_alone():
     )
     out = split_ground_terms(slr_set([cl], {"P": (0, 1)}, skolems=("d",)))
     assert out.def_clauses() == []
-    assert out.clauses == [cl]
+    assert out.clauses == (cl,)
 
 
 # --- variable disjointness --------------------------------------------------

@@ -39,8 +39,8 @@ def test_parse_clause_set_full_surface():
     cs = parse_clause_set(SLR_TEXT)
     assert cs.mode == MODE_SLR
     assert cs.signature == {"P": (1, 2)}
-    assert cs.fconsts == ["a", "b"]
-    assert cs.skolems == ["c", "d", "e"]
+    assert cs.fconsts == ("a", "b")
+    assert cs.skolems == ("c", "d", "e")
     (cl,) = cs.clauses
     assert len(cl.lam) == 3 and len(cl.gamma) == 1 and len(cl.delta) == 1
 

@@ -69,6 +69,27 @@ def test_region_census_rejects_an_option_of_the_other_mode(argv, message):
     assert message in proc.stderr
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["region_census.py", "--mode", "bd", "--step", "0"],
+     "argument --step: must be at least 1, got 0"),
+    (["region_census.py", "--mode", "bd", "--kappa", "-1"],
+     "argument --kappa: must be at least 0, got -1"),
+    (["region_census.py", "--mode", "bd", "--max-arity", "0"],
+     "argument --max-arity: must be at least 1, got 0"),
+    (["ta_differential.py", "--lam", "0"],
+     "argument --lam: must be at least 1, got 0"),
+    (["ta_differential.py", "--count", "-1"],
+     "argument --count: must be at least 1, got -1"),
+], ids=["census --step 0", "census --kappa -1", "census --max-arity 0",
+        "differential --lam 0", "differential --count -1"])
+def test_scripts_reject_a_number_out_of_range(argv, message):
+    # as the CLI does: a usage error, before any work
+    proc = run_process(argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr
+
+
 def test_ta_differential_counts_the_reachable_rows_of_its_table(monkeypatch, capsys):
     # the summary counts the region verdicts of the table: one oracle call
     # per automaton, at --lam (``corpus``, imported above, keeps the real

@@ -255,3 +255,14 @@ def test_clause_set_validate_rejects_arity_mismatch():
     cs = ClauseSet(MODE_SLR, [cl], sig(P=(1, 1)), fconsts=["a"])
     with pytest.raises(SortDisciplineError):
         cs.validate()
+
+
+def test_clause_set_is_a_value():
+    cs = ClauseSet(MODE_BD, (Clause.make([], [], [atom("P", "x")]),), sig(P=(0, 1)), ("a",))
+    with pytest.raises(AttributeError):
+        cs.clauses = ()
+    with pytest.raises(AttributeError):
+        cs.fconsts = ("a", "b")
+    grown = cs._replace(fconsts=("a", "b"))
+    assert grown.fconsts == ("a", "b") and cs.fconsts == ("a",)
+    assert grown.clauses is cs.clauses and grown.signature is cs.signature

@@ -1,5 +1,6 @@
 """Timed-automaton encoding and the region-graph oracle."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -112,6 +113,14 @@ def test_validate_rejects_unknown_references():
         )
     with pytest.raises(TimedAutomatonError, match="unknown clock"):
         TimedAutomaton(("x",), ("a",), "a", {"a": cc(le("w", 1))})
+
+
+def test_automaton_fields_cannot_be_rebound():
+    # a rebound field would skip the check the automaton ran when it was built
+    aut = TimedAutomaton(("x",), ("a",), "a")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        aut.clocks = ("z",)
+    assert aut.clocks == ("x",)
 
 
 def test_each_timed_path_checks_the_automaton_once(monkeypatch):
