@@ -39,10 +39,16 @@ from bsrsat.terms import VarConst
 from bsrsat.timed import default_lambda, encode_reachability
 
 
-def bsr_sets(count: int):
+def raw_bsr_sets(count: int):
+    """The first ``count`` draws of the clause-set pool, as drawn."""
     rng = random.Random(1706)
     for i in range(count):
-        yield normalize((_raw_bd if i % 2 == 0 else _raw_slr)(rng))
+        yield (_raw_bd if i % 2 == 0 else _raw_slr)(rng)
+
+
+def bsr_sets(count: int):
+    for cs in raw_bsr_sets(count):
+        yield normalize(cs)
 
 
 def timed_sets(count: int):

@@ -26,6 +26,7 @@ statistics are deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +38,9 @@ from .normalize import validate_normal_form
 from .propsat import PropInstance
 from .propsat import solve as _dpll
 from .regions import (
+    INF,
     PartitionJ,
+    _zone,
     check_holds,
     class_of_bd,
     class_of_bd_scaled,
@@ -411,22 +414,90 @@ def _preorder_gamma(pre, def_constraints, skolems):
     return solve_ground(sys, names=list(skolems))
 
 
+class _DifferenceScreen:
+    """Refutes slr preorders by their difference constraints alone, before
+    Fourier-Motzkin: a zone (``regions._zone``, a closed difference-bound
+    matrix) over the Skolem constants that holds the preorder's chain and
+    the definitions ``s = t + c`` and ``s = c``.
+
+    The rationals and those definitions are scaled to integers once, in
+    the constructor.  Per preorder, a rational next to a Skolem constant in
+    the chain bounds it, two neighbouring Skolem constants are related by
+    ``=`` or ``<``, and each definition adds its difference.  A definition
+    of any other shape (a coefficient other than 1, two Skolem constants in
+    its term) stays out, so the zone relaxes the preorder's system: an
+    empty zone refutes the preorder, and a nonempty one says nothing.  With
+    difference-form definitions only, the zone is empty exactly when the
+    system is infeasible."""
+
+    def __init__(self, skolems, rationals, definitions):
+        forms = [(sk, t) for sk, t in definitions
+                 if not t.coeffs or (len(t.coeffs) == 1 and t.coeffs[0][1] == 1)]
+        unit = math.lcm(*(q.denominator for q in rationals),
+                        *(t.offset.denominator for _, t in forms))
+        self.index = {sk: i for i, sk in enumerate(skolems)}
+        self.scaled = {q: (q * unit).numerator for q in rationals}
+        self.bounds = [[INF, INF] for _ in skolems]  # zone entries [0][s] and [s][0]
+        self.relations = []
+        for sk, t in forms:
+            c = (t.offset * unit).numerator
+            if t.coeffs:  # sk - t' = c
+                self.relations.append(("diff", Relation.EQ, self.index[sk],
+                                       self.index[t.coeffs[0][0]], c))
+            else:  # sk = c
+                b = self.bounds[self.index[sk]]
+                b[0], b[1] = min(b[0], (-c, 1)), min(b[1], (c, 1))
+
+    def admits(self, pre) -> bool:
+        """False when the chain of ``pre`` and the difference-form
+        definitions have no common solution."""
+        bounds = [list(b) for b in self.bounds]
+        relations = list(self.relations)
+        flat = [(bi, e) for bi, block in enumerate(pre) for e in block]
+        for (bi, a), (bj, b) in zip(flat, flat[1:]):
+            weak = int(bi == bj)  # a = b, else a < b
+            if isinstance(a, Fraction):
+                if not isinstance(b, Fraction):  # a lower bound on b, and an upper one if equal
+                    entries = bounds[self.index[b]]
+                    q = self.scaled[a]
+                    entries[0] = min(entries[0], (-q, weak))
+                    if weak:
+                        entries[1] = min(entries[1], (q, 1))
+            elif isinstance(b, Fraction):  # an upper bound on a, and a lower one if equal
+                entries = bounds[self.index[a]]
+                q = self.scaled[b]
+                entries[1] = min(entries[1], (q, weak))
+                if weak:
+                    entries[0] = min(entries[0], (-q, 1))
+            else:
+                relations.append(("varvar", Relation.EQ if weak else Relation.LT,
+                                  self.index[a], self.index[b]))
+        return _zone(bounds, relations) is not None
+
+
 def _contexts(cs: ClauseSet, stats: SolveStats):
     """The arithmetic branches: one for bd, one per feasible preorder of
     the Skolem constants and rationals for slr.  Each witness realizes its
     preorder exactly (``_preorder_gamma``), so no two branches share a
-    gamma order type."""
+    gamma order type.
+
+    ``stats.preorders`` counts every preorder.  Fourier-Motzkin runs only
+    on those that ``_DifferenceScreen`` admits: the screen is exact when
+    every definition has the form ``s = t + c`` or ``s = c``, and a
+    relaxation otherwise, so it refutes no feasible preorder and leaves
+    the others to ``_preorder_gamma``."""
     if cs.mode == MODE_BD:
         yield _Context(MODE_BD, {}, kappa=_kappa_of(cs))
         return
     skolems = sorted(cs.skolems)
     rats = sorted(cs.rationals())
-    defs = [
-        (GroundTerm.skolem(c.lam[0].skolem), Relation.EQ, c.lam[0].term)
-        for c in cs.def_clauses()
-    ]
+    definitions = [(c.lam[0].skolem, c.lam[0].term) for c in cs.def_clauses()]
+    defs = [(GroundTerm.skolem(sk), Relation.EQ, t) for sk, t in definitions]
+    screen = _DifferenceScreen(skolems, rats, definitions)
     for pre in enumerate_preorders(skolems, rats):
         stats.preorders += 1
+        if not screen.admits(pre):
+            continue
         gamma = _preorder_gamma(pre, defs, skolems)
         if gamma is None:
             continue

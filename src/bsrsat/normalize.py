@@ -11,7 +11,16 @@ invariants checked by ``validate_normal_form``.
 Each stage returns a new ``ClauseSet``, derived with ``_replace``, and
 writes nothing into the set it is given.  A stage that has nothing to change
 (``pad_predicates`` on a uniform signature, ``scale_to_integers`` on integer
-constants) returns its input itself.
+constants) returns its input itself.  Each stage also rebuilds only the
+clauses it changes and returns the others as they are, the same objects:
+``pad_predicates`` a clause with no atom to pad, ``scale_to_integers`` a
+clause without constants,
+``eliminate_constraint_only_vars`` a clause with no constraint-only variable
+(it still drops a repeated clause), ``split_ground_terms`` a core clause with
+no compound term and no Skolem definition, and ``rename_apart`` a clause
+without variables.  ``rename_apart`` builds each renamed clause once.  The
+stages read a clause's variables from ``Clause.shape``, which is found once
+per clause and kept with it.
 
 Each check runs once, where its input enters: ``normalize`` validates the
 clause set it is given and refuses any mode but ``slr`` and ``bd``, and
@@ -49,8 +58,6 @@ from .terms import (
     SkolemDef,
     VarConst,
     VarVar,
-    atom_base_vars,
-    atom_free_vars,
     constraint_vars,
     rename_constraint,
 )
@@ -82,18 +89,24 @@ def pad_predicates(cs: ClauseSet) -> ClauseSet:
     if all((a, b) == (mf, mb) for a, b in cs.signature.values()):
         return cs
     counter = _FreshNames(VAR_PREFIX, _used_names(cs))
+    short = {p: sort for p, sort in cs.signature.items() if sort != (mf, mb)}
     clauses = []
     for cl in cs.clauses:
-        gamma = [_pad_atom(a, cs.signature, mf, mb, counter) for a in cl.gamma]
-        delta = [_pad_atom(a, cs.signature, mf, mb, counter) for a in cl.delta]
-        clauses.append(Clause.make(cl.lam, gamma, delta))
+        if not any(type(a) is PredAtom and a.pred in short for part in (cl.gamma, cl.delta) for a in part):
+            clauses.append(cl)
+            continue
+        gamma = [_pad_atom(a, short, mf, mb, counter) for a in cl.gamma]
+        delta = [_pad_atom(a, short, mf, mb, counter) for a in cl.delta]
+        clauses.append(cl.with_atoms(gamma, delta))
     return cs._replace(clauses=tuple(clauses), signature={p: (mf, mb) for p in cs.signature})
 
 
-def _pad_atom(atom, signature, mf: int, mb: int, counter: "_FreshNames"):
-    if isinstance(atom, Equation):
+def _pad_atom(atom, short, mf: int, mb: int, counter: "_FreshNames"):
+    """``atom`` padded to S^mf R^mb, or ``atom`` itself when its predicate
+    is not one of the ``short`` ones."""
+    if type(atom) is not PredAtom or atom.pred not in short:
         return atom
-    pf, pb = signature[atom.pred]
+    pf, pb = short[atom.pred]
     free = atom.free_args
     base = atom.base_args
     if pf < mf:
@@ -113,14 +126,15 @@ def scale_to_integers(cs: ClauseSet) -> ClauseSet:
     of their denominators; satisfiability is preserved by rescaling models."""
     if cs.mode != MODE_BD:
         raise FragmentError("scaling applies to bd mode only")
-    denoms = [q.denominator for q in cs.rationals()]
-    scale = math.lcm(*denoms) if denoms else 1
+    scale = math.lcm(*{q.denominator for cl in cs.clauses for q in cl.shape.rationals})
     if scale == 1:
         return cs
     clauses = []
     for cl in cs.clauses:
-        lam = [_scale_constraint(c, scale) for c in cl.lam]
-        clauses.append(Clause.make(lam, cl.gamma, cl.delta))
+        if cl.shape.rationals:
+            lam = [_scale_constraint(c, scale) for c in cl.lam]
+            cl = Clause.make(lam, cl.gamma, cl.delta)
+        clauses.append(cl)
     return cs._replace(clauses=tuple(clauses))
 
 
@@ -149,21 +163,31 @@ def eliminate_constraint_only_vars(cs: ClauseSet) -> ClauseSet:
     """
     clauses: list[Clause] = []
     for cl in cs.clauses:
-        clauses.extend(_eliminate_clause(cl, cs.mode))
-    return cs._replace(clauses=tuple(dict.fromkeys(clauses)))
+        if cl.shape.only_vars:
+            clauses.extend(_eliminate_clause(cl, cs.mode))
+        else:
+            clauses.append(cl)
+    return cs._replace(clauses=_distinct(clauses))
+
+
+def _distinct(clauses: list[Clause]) -> tuple[Clause, ...]:
+    """``clauses`` without repeats, first occurrences kept.  Clauses are
+    compared only within groups of the same part lengths and variables:
+    hashing a whole clause hashes every constraint, term and atom."""
+    groups: dict[tuple, list[Clause]] = {}
+    out = []
+    for cl in clauses:
+        shape = cl.shape
+        key = (len(cl.lam), len(cl.gamma), len(cl.delta), shape.base_vars, shape.free_vars)
+        group = groups.setdefault(key, [])
+        if cl not in group:
+            group.append(cl)
+            out.append(cl)
+    return tuple(out)
 
 
 def _eliminate_clause(cl: Clause, mode: str) -> list[Clause]:
-    atom_vars = set()
-    for a in cl.gamma + cl.delta:
-        atom_vars.update(atom_base_vars(a))
-    elim: list[str] = []
-    for c in cl.lam:
-        for v in constraint_vars(c):
-            if v not in atom_vars and v not in elim:
-                elim.append(v)
-    if not elim:
-        return [cl]
+    elim = list(cl.shape.only_vars)
     out: list[Clause] = []
     for lam in _split_disequations(list(cl.lam), set(elim)):
         reduced = _project_vars(lam, elim, mode)
@@ -287,19 +311,22 @@ def split_ground_terms(cs: ClauseSet) -> ClauseSet:
 
     core: list[Clause] = []
     for cl in cs.clauses:
+        if cl.shape.core_fault is None:  # no definition, no compound term
+            core.append(cl)
+            continue
         if cl.is_def_clause():
             continue
         lam = []
         for c in cl.lam:
-            if isinstance(c, VarConst):
-                lam.append(VarConst(c.var, c.rel, name_of(c.bound)))
-            elif isinstance(c, GroundCmp):
-                lam.append(GroundCmp(name_of(c.left), c.rel, name_of(c.right)))
+            if isinstance(c, VarConst) and not c.bound.is_constant_ref:
+                c = VarConst(c.var, c.rel, name_of(c.bound))
+            elif isinstance(c, GroundCmp) and not (c.left.is_constant_ref and c.right.is_constant_ref):
+                c = GroundCmp(name_of(c.left), c.rel, name_of(c.right))
             elif isinstance(c, SkolemDef):
-                lam.append(GroundCmp(GroundTerm.skolem(c.skolem), Relation.NEQ, name_of(c.term)))
-            else:
-                lam.append(c)
-        core.append(Clause.make(lam, cl.gamma, cl.delta))
+                c = GroundCmp(GroundTerm.skolem(c.skolem), Relation.NEQ, name_of(c.term))
+            lam.append(c)
+        changed = any(new is not old for new, old in zip(lam, cl.lam))
+        core.append(Clause.make(lam, cl.gamma, cl.delta) if changed else cl)
     return cs._replace(clauses=tuple(defs + core), skolems=(*cs.skolems, *fresh_skolems))
 
 
@@ -336,30 +363,29 @@ def rename_apart(cs: ClauseSet) -> ClauseSet:
     counter = _FreshNames(VAR_PREFIX, set(cs.fconsts) | set(cs.skolems) | set(cs.signature))
     clauses = []
     for cl in cs.clauses:
-        mapping: dict[str, str] = {}
-        for v in cl.base_vars() + cl.free_vars():
-            if v not in mapping:
-                mapping[v] = counter.next()
-        clauses.append(_rename_clause(cl, mapping))
+        shape = cl.shape
+        if shape.base_vars or shape.free_vars:
+            clauses.append(_rename_clause(cl, shape, counter))
+        else:
+            clauses.append(cl)
     return cs._replace(clauses=tuple(clauses))
 
 
-def _rename_clause(cl: Clause, mapping: dict[str, str]) -> Clause:
-    def rv(v: str) -> str:
-        return mapping.get(v, v)
-
-    lam = [rename_constraint(c, rv) for c in cl.lam]
-
-    def ra(a):
-        if isinstance(a, Equation):
-            return Equation(_rt(a.left, rv), _rt(a.right, rv))
-        return PredAtom(a.pred, tuple(_rt(t, rv) for t in a.free_args), tuple(rv(v) for v in a.base_args))
-
-    return Clause.make(lam, [ra(a) for a in cl.gamma], [ra(a) for a in cl.delta])
-
-
-def _rt(t: FreeTerm, rv) -> FreeTerm:
-    return t if t.is_const else FreeTerm(rv(t.name), False)
+def _rename_clause(cl: Clause, shape, counter: "_FreshNames") -> Clause:
+    """``cl`` with each variable renamed to the next fresh name, in the
+    order of ``shape``, built once."""
+    rename = {v: counter.next() for v in shape.base_vars}
+    rv = rename.__getitem__
+    free = {v: FreeTerm(counter.next(), False) for v in shape.free_vars}
+    atoms: tuple[list, list] = ([], [])
+    for part, out in zip((cl.gamma, cl.delta), atoms):
+        for a in part:
+            if isinstance(a, PredAtom):
+                args = tuple([t if t.is_const else free[t.name] for t in a.free_args])
+                out.append(PredAtom(a.pred, args, tuple(map(rv, a.base_args))))
+            else:
+                out.append(Equation(*(t if t.is_const else free[t.name] for t in (a.left, a.right))))
+    return Clause.make([rename_constraint(c, rv) for c in cl.lam], *atoms)
 
 
 def normalize(cs: ClauseSet) -> ClauseSet:
@@ -391,7 +417,10 @@ def validate_normal_form(cs: ClauseSet) -> None:
     constant, and on every clause that is not definitional
     (``Clause.is_def_clause``) no Skolem definition, only constant
     references as ground terms, no constraint-only variable, integer
-    constants in ``bd``, and variables of its own."""
+    constants in ``bd``, and variables of its own.
+
+    The rules read ``Clause.shape``, which ``cs.validate()`` has found in
+    its walk over each clause, so no clause is walked a second time."""
     cs.validate()
     if cs.mode not in (MODE_SLR, MODE_BD):
         raise NormalFormError(f"normal form requires mode slr or bd, not {cs.mode!r}")
@@ -401,25 +430,21 @@ def validate_normal_form(cs: ClauseSet) -> None:
     for cl in cs.clauses:
         if cl.is_def_clause():
             continue
-        atom_vars = set()
-        for a in cl.gamma + cl.delta:
-            atom_vars.update(atom_base_vars(a))
-        for c in cl.lam:
-            if isinstance(c, SkolemDef):
-                raise NormalFormError(f"definitional constraint in a core clause: {c}")
-            if isinstance(c, GroundCmp):
-                if not (c.left.is_constant_ref and c.right.is_constant_ref):
-                    raise NormalFormError(f"compound ground comparison remains: {c}")
-            if isinstance(c, VarConst) and not c.bound.is_constant_ref:
-                raise NormalFormError(f"compound variable bound remains: {c}")
-            for v in constraint_vars(c):
-                if v not in atom_vars:
-                    raise NormalFormError(f"constraint-only variable {v!r} remains in {cl}")
+        shape = cl.shape
+        fault = shape.core_fault
+        if isinstance(fault, SkolemDef):
+            raise NormalFormError(f"definitional constraint in a core clause: {fault}")
+        if isinstance(fault, GroundCmp):
+            raise NormalFormError(f"compound ground comparison remains: {fault}")
+        if isinstance(fault, VarConst):
+            raise NormalFormError(f"compound variable bound remains: {fault}")
+        if fault is not None:
+            raise NormalFormError(f"constraint-only variable {fault!r} remains in {cl}")
         if cs.mode == MODE_BD:
-            for q in cl.rationals():
+            for q in shape.rationals:
                 if q.denominator != 1:
                     raise NormalFormError(f"non-integer constant remains: {q}")
-        cl_vars = set(cl.base_vars()) | {v for a in cl.gamma + cl.delta for v in atom_free_vars(a)}
-        if cl_vars & seen_vars:
-            raise NormalFormError(f"clauses share variables: {sorted(cl_vars & seen_vars)}")
-        seen_vars |= cl_vars
+        if not (seen_vars.isdisjoint(shape.base_vars) and seen_vars.isdisjoint(shape.free_vars)):
+            shared = seen_vars.intersection(shape.base_vars) | seen_vars.intersection(shape.free_vars)
+            raise NormalFormError(f"clauses share variables: {sorted(shared)}")
+        seen_vars.update(shape.base_vars, shape.free_vars)

@@ -60,6 +60,9 @@ class Relation(enum.Enum):
         # ``rel.holds(a, b)`` is whether a rel b: the relation's own
         # ``operator`` function, called directly, with no dispatch on rel.
         self.holds = _OPERATORS[symbol]
+        # the declaration order, which ``_OPERATORS`` follows; sort keys
+        # read it without hashing the member
+        self.rank = list(_OPERATORS).index(symbol)
 
     def flip(self) -> "Relation":
         """Relation seen from the right-hand side: a R b iff b flip(R) a."""
@@ -275,21 +278,6 @@ def constraint_skolems(c: Constraint) -> frozenset[str]:
     return frozenset()
 
 
-def constraint_rationals(c: Constraint) -> frozenset[Fraction]:
-    """Rational constants a variable or constant is compared against."""
-    if isinstance(c, VarConst) and c.bound.is_rational:
-        return frozenset({c.bound.offset})
-    if isinstance(c, DiffConst):
-        return frozenset({c.const})
-    if isinstance(c, GroundCmp):
-        out = set()
-        for side in (c.left, c.right):
-            if side.is_rational:
-                out.add(side.offset)
-        return frozenset(out)
-    return frozenset()
-
-
 def eval_constraint(
     c: Constraint,
     base: Mapping[str, Fraction],
@@ -359,21 +347,7 @@ class PredAtom:
 FreeAtom = Union[Equation, PredAtom]
 
 
-def atom_free_vars(a: FreeAtom) -> tuple[str, ...]:
-    terms = (a.left, a.right) if isinstance(a, Equation) else a.free_args
-    return tuple(dict.fromkeys(t.name for t in terms if not t.is_const))
-
-
-def atom_base_vars(a: FreeAtom) -> tuple[str, ...]:
-    if isinstance(a, Equation):
-        return ()
-    return tuple(dict.fromkeys(a.base_args))
-
-
 # --- clauses ---------------------------------------------------------------
-
-
-_REL_KEY = {r: i for i, r in enumerate(Relation)}  # declaration order
 
 
 def _term_key(t: GroundTerm):
@@ -382,16 +356,21 @@ def _term_key(t: GroundTerm):
 
 def constraint_sort_key(c: Constraint):
     if isinstance(c, VarConst):
-        return (0, c.var, _REL_KEY[c.rel], _term_key(c.bound))
+        return (0, c.var, c.rel.rank, _term_key(c.bound))
     if isinstance(c, VarVar):
-        return (1, c.var, _REL_KEY[c.rel], c.other)
+        return (1, c.var, c.rel.rank, c.other)
     if isinstance(c, DiffConst):
-        return (2, c.var, c.other, _REL_KEY[c.rel], c.const)
+        return (2, c.var, c.other, c.rel.rank, c.const)
     if isinstance(c, GroundCmp):
-        return (3, _term_key(c.left), _REL_KEY[c.rel], _term_key(c.right))
+        return (3, _term_key(c.left), c.rel.rank, _term_key(c.right))
     if isinstance(c, SkolemDef):
         return (4, c.skolem, _term_key(c.term))
     return (5, c.new, c.old, c.delta)
+
+
+def _sorted(items: Iterable, key) -> tuple:
+    items = tuple(items)
+    return tuple(sorted(items, key=key)) if len(items) > 1 else items
 
 
 def atom_sort_key(a: FreeAtom):
@@ -400,12 +379,44 @@ def atom_sort_key(a: FreeAtom):
     return (1, a.pred, a.free_args, a.base_args)
 
 
+class _kept:
+    """``functools.cached_property`` without the lock that it takes on each
+    first read before Python 3.12: the value goes into the instance's
+    ``__dict__``, which every later read finds first."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+class ClauseShape(NamedTuple):
+    """What the checks and the normal form read of a clause (``Clause.shape``)."""
+
+    base_vars: tuple[str, ...]  # first occurrence over lam, gamma, delta
+    free_vars: tuple[str, ...]  # first occurrence over gamma, delta
+    only_vars: tuple[str, ...]  # variables of lam in no atom, first occurrence
+    # the rational constants that variables or constants are compared
+    # against, in the order of lam, repeats kept
+    rationals: tuple[Fraction, ...]
+    # What first keeps the clause from being a core clause of a normal form,
+    # in the order of lam: a Skolem definition, a compound ground term, or
+    # (a variable name) a constraint-only variable; None if nothing does.
+    core_fault: Constraint | str | None
+
+
 @dataclass(frozen=True)
 class Clause:
     """lambda || gamma -> delta with parts kept as canonically sorted tuples.
 
     Duplicates are preserved (the parts are multisets); sorting only fixes a
-    canonical order so that structural equality is meaningful.
+    canonical order so that structural equality is meaningful.  ``shape``
+    is computed on first use and kept: the clause is a value, so it holds
+    for the clause's lifetime.
     """
 
     lam: tuple[Constraint, ...]
@@ -418,26 +429,73 @@ class Clause:
         gamma: Iterable[FreeAtom] = (),
         delta: Iterable[FreeAtom] = (),
     ) -> "Clause":
-        return Clause(
-            tuple(sorted(lam, key=constraint_sort_key)),
-            tuple(sorted(gamma, key=atom_sort_key)),
-            tuple(sorted(delta, key=atom_sort_key)),
-        )
+        return Clause(_sorted(lam, constraint_sort_key), _sorted(gamma, atom_sort_key),
+                      _sorted(delta, atom_sort_key))
+
+    def with_atoms(self, gamma: Iterable[FreeAtom], delta: Iterable[FreeAtom]) -> "Clause":
+        """This clause's constraints, which are sorted already, with other atoms."""
+        return Clause(self.lam, _sorted(gamma, atom_sort_key), _sorted(delta, atom_sort_key))
+
+    @_kept
+    def shape(self) -> "ClauseShape":
+        """What the checks read of this clause's parts, found in one pass
+        over them and kept with the clause."""
+        lam_vars: list[str] = []
+        rationals: list[Fraction] = []
+        broken: Constraint | None = None  # first constraint no core clause keeps
+        for c in self.lam:
+            kind = type(c)
+            if kind is VarConst:
+                lam_vars.append(c.var)
+                if not c.bound.coeffs:
+                    rationals.append(c.bound.offset)
+                elif broken is None and not c.bound.is_skolem:
+                    broken = c
+            elif kind is VarVar or kind is DiffConst:
+                lam_vars.append(c.var)
+                lam_vars.append(c.other)
+                if kind is DiffConst:
+                    rationals.append(c.const)
+            elif kind is GroundCmp:
+                rationals += (side.offset for side in (c.left, c.right) if not side.coeffs)
+                if broken is None and not (c.left.is_constant_ref and c.right.is_constant_ref):
+                    broken = c
+            elif kind is SkolemDef:
+                if broken is None:
+                    broken = c
+            else:
+                lam_vars += constraint_vars(c)
+        atom_vars: list[str] = []
+        free: dict[str, None] = {}
+        for a in self.gamma + self.delta:
+            if type(a) is PredAtom:
+                atom_vars += a.base_args
+                terms = a.free_args
+            else:
+                terms = (a.left, a.right)
+            for t in terms:
+                if not t.is_const:
+                    free[t.name] = None
+        base = dict.fromkeys(lam_vars + atom_vars)
+        only = tuple(v for v in dict.fromkeys(lam_vars) if v not in atom_vars) if lam_vars else ()
+        fault = broken
+        if only and (broken is None or self._first_with(only) < self.lam.index(broken)):
+            fault = only[0]
+        return ClauseShape(tuple(base), tuple(free), only, tuple(rationals), fault)
+
+    def _first_with(self, names) -> int:
+        """Index of the first constraint over one of ``names``."""
+        return next(k for k, c in enumerate(self.lam) if set(constraint_vars(c)) & set(names))
 
     def base_vars(self) -> tuple[str, ...]:
         """Base-sort variables in first-occurrence order over lam, gamma, delta."""
-        vs = [v for c in self.lam for v in constraint_vars(c)]
-        vs += [v for a in self.gamma + self.delta for v in atom_base_vars(a)]
-        return tuple(dict.fromkeys(vs))
+        return self.shape.base_vars
 
     def free_vars(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(v for a in self.gamma + self.delta for v in atom_free_vars(a)))
+        return self.shape.free_vars
 
     def rationals(self) -> frozenset[Fraction]:
-        s: frozenset[Fraction] = frozenset()
-        for c in self.lam:
-            s |= constraint_rationals(c)
-        return s
+        return frozenset(self.shape.rationals)
 
     def is_def_clause(self) -> bool:
         return (
@@ -499,74 +557,84 @@ class ClauseSet(NamedTuple):
     skolems: tuple[str, ...] = ()
 
     def rationals(self) -> set[Fraction]:
-        out: set[Fraction] = set()
-        for cl in self.clauses:
-            out |= cl.rationals()
-        return out
+        return {q for cl in self.clauses for q in cl.shape.rationals}
 
     def def_clauses(self) -> list[Clause]:
         return [c for c in self.clauses if c.is_def_clause()]
 
     def validate(self) -> None:
         """Check sort discipline, arities, the difference-bound guard, and
-        that delay equations occur in ``folla`` mode only."""
+        that delay equations occur in ``folla`` mode only.  One walk over
+        each clause's constraints and atoms; the variables come from
+        ``Clause.shape``, which the normal-form check reads too."""
         if self.mode not in (MODE_SLR, MODE_BD, MODE_FOLLA):
             raise FragmentError(f"unknown mode {self.mode!r}")
         if self.mode in (MODE_BD, MODE_FOLLA) and self.skolems:
             raise FragmentError("Skolem constants are not allowed in bd mode")
         declared = set(self.skolems)
+        fconsts = set(self.fconsts)
         for cl in self.clauses:
-            self._validate_clause(cl, declared)
+            self._validate_clause(cl, declared, fconsts)
 
-    def _validate_clause(self, cl: Clause, declared_sk: set[str]) -> None:
-        base = set(cl.base_vars())
+    def _validate_clause(self, cl: Clause, declared_sk: set[str], fconsts: set[str]) -> None:
+        mode = self.mode
         bounded: set[str] | None = None  # built at the clause's first guarded x - y
         for c in cl.lam:
-            if isinstance(c, DeltaEq) and self.mode != MODE_FOLLA:
+            if isinstance(c, VarConst):
+                if c.bound.coeffs:
+                    if mode != MODE_SLR and not c.bound.is_skolem:
+                        raise FragmentError(f"compound bound {c.bound} outside slr mode")
+                    for sk, _ in c.bound.coeffs:
+                        if sk not in declared_sk:
+                            raise SortDisciplineError(f"undeclared Skolem constant {sk!r}")
+            elif isinstance(c, DiffConst):
+                if mode == MODE_SLR:
+                    raise FragmentError(f"difference constraint {c} is not allowed in slr mode")
+                if c.var != c.other and mode == MODE_BD:
+                    if bounded is None:
+                        bounded = _two_sided(cl.lam)
+                    for v in (c.var, c.other):
+                        if v not in bounded:
+                            raise GuardViolationError(
+                                f"difference constraint {c} needs two-sided bounds on {v!r}"
+                            )
+            elif isinstance(c, (GroundCmp, SkolemDef)):
+                sks = constraint_skolems(c)
+                if sks and mode in (MODE_BD, MODE_FOLLA):
+                    for sk in sks:
+                        raise FragmentError(f"Skolem constant {sk!r} in bd mode")
+                for sk in sks:
+                    if sk not in declared_sk:
+                        raise SortDisciplineError(f"undeclared Skolem constant {sk!r}")
+            elif isinstance(c, DeltaEq) and mode != MODE_FOLLA:
                 raise FragmentError(f"delay equation {c} is allowed in folla mode only")
-            if isinstance(c, DiffConst) and self.mode == MODE_SLR:
-                raise FragmentError(f"difference constraint {c} is not allowed in slr mode")
-            if isinstance(c, (GroundCmp, SkolemDef)) and self.mode in (MODE_BD, MODE_FOLLA):
-                for sk in constraint_skolems(c):
-                    raise FragmentError(f"Skolem constant {sk!r} in bd mode")
-            if isinstance(c, VarConst) and not c.bound.is_constant_ref:
-                if self.mode != MODE_SLR:
-                    raise FragmentError(f"compound bound {c.bound} outside slr mode")
-            for sk in constraint_skolems(c):
-                if sk not in declared_sk:
-                    raise SortDisciplineError(f"undeclared Skolem constant {sk!r}")
-            if isinstance(c, DiffConst) and c.var != c.other and self.mode == MODE_BD:
-                if bounded is None:
-                    bounded = _two_sided(cl.lam)
-                for v in (c.var, c.other):
-                    if v not in bounded:
-                        raise GuardViolationError(
-                            f"difference constraint {c} needs two-sided bounds on {v!r}"
-                        )
-        for a in cl.gamma + cl.delta:
-            if isinstance(a, PredAtom):
-                if a.pred not in self.signature:
-                    raise SortDisciplineError(f"undeclared predicate {a.pred!r}")
-                mf, mb = self.signature[a.pred]
-                if len(a.free_args) != mf or len(a.base_args) != mb:
-                    raise SortDisciplineError(
-                        f"{a.pred} expects S^{mf} R^{mb}, got {a}"
-                    )
-                for t in a.free_args:
-                    if t.is_const and t.name not in self.fconsts:
-                        raise SortDisciplineError(f"undeclared free constant {t.name!r}")
-                    if not t.is_const and t.name in base:
+        base = cl.shape.base_vars
+        for part in (cl.gamma, cl.delta):
+            for a in part:
+                if isinstance(a, PredAtom):
+                    arity = self.signature.get(a.pred)
+                    if arity is None:
+                        raise SortDisciplineError(f"undeclared predicate {a.pred!r}")
+                    mf, mb = arity
+                    if len(a.free_args) != mf or len(a.base_args) != mb:
                         raise SortDisciplineError(
-                            f"{t.name!r} used at both sorts in {a}"
+                            f"{a.pred} expects S^{mf} R^{mb}, got {a}"
                         )
-                for v in a.base_args:
-                    if not isinstance(v, str):
-                        raise FragmentError(f"non-variable base argument {v!r} in {a.pred}")
-                    if v in self.fconsts or v in declared_sk:
-                        raise SortDisciplineError(
-                            f"base positions take variables only, got {v!r} in {a}"
-                        )
-            else:
-                for t in (a.left, a.right):
-                    if t.is_const and t.name not in self.fconsts:
-                        raise SortDisciplineError(f"undeclared free constant {t.name!r}")
+                    for t in a.free_args:
+                        if t.is_const and t.name not in fconsts:
+                            raise SortDisciplineError(f"undeclared free constant {t.name!r}")
+                        if not t.is_const and t.name in base:
+                            raise SortDisciplineError(
+                                f"{t.name!r} used at both sorts in {a}"
+                            )
+                    for v in a.base_args:
+                        if not isinstance(v, str):
+                            raise FragmentError(f"non-variable base argument {v!r} in {a.pred}")
+                        if v in fconsts or v in declared_sk:
+                            raise SortDisciplineError(
+                                f"base positions take variables only, got {v!r} in {a}"
+                            )
+                else:
+                    for t in (a.left, a.right):
+                        if t.is_const and t.name not in fconsts:
+                            raise SortDisciplineError(f"undeclared free constant {t.name!r}")

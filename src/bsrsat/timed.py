@@ -6,8 +6,9 @@ clauses are then rewritten so that, instead of one shared increment, all
 pairwise clock differences must stay within the same cell of the threshold
 partition induced by the integers -lambda..lambda while every clock weakly
 increases; over a bounded box and uniform interpretations this preserves the
-reachability verdict.  ``bound_clocks`` finally boxes all clock variables
-into [0, lambda+1), after which the set is a valid BSR(BD) problem whose
+reachability verdict.  ``bound_clocks`` boxes all clock variables into
+[0, lambda+1), before the lowering so that each lowered clause is built
+once; after both the set is a valid BSR(BD) problem whose
 unsatisfiability is equivalent to reachability.
 
 ``region_reach`` answers the same query by an explicit breadth-first search
@@ -319,7 +320,10 @@ def lower_delay_clauses(cs: ClauseSet, lam: int) -> ClauseSet:
     """Rewrite every synchronous delay clause into its profile clauses.
 
     Non-delay clauses pass through unchanged; the result no longer contains
-    DeltaEq constraints nor the shared increment variable.
+    DeltaEq constraints nor the shared increment variable.  Each profile
+    clause keeps the delay clause's other constraints over the clocks, so
+    clock bounds conjoined before lowering (``bound_clocks``) carry over,
+    and each profile clause is built once.
     """
     if lam < 1:
         raise ValueError("lambda must be a positive integer")
@@ -357,25 +361,27 @@ def lower_delay_clauses(cs: ClauseSet, lam: int) -> ClauseSet:
 
 
 def bound_clocks(cs: ClauseSet, kappa: int) -> ClauseSet:
-    """Conjoin 0 <= v and v < kappa for every base variable of every clause.
+    """Conjoin 0 <= v and v < kappa for every base variable of every
+    clause, but for those bounds that the clause holds already.
 
-    This turns the lowered encoding into a valid BSR(BD) clause set: every
-    difference constraint becomes two-sided bounded.
+    Run before ``lower_delay_clauses``, this bounds every profile clause of
+    a delay clause as it would bound it after lowering: the profile clauses
+    name the same clocks, primed and not, and the bounds on the increment
+    variable go with the delay equations.
     """
     lo = GroundTerm.constant(0)
     hi = GroundTerm.constant(kappa)
     out: list[Clause] = []
     for cl in cs.clauses:
-        if _is_delay_clause(cl):
-            raise ValueError("delay clauses must be lowered before bounding")
-        lam = list(cl.lam)
-        present = set(cl.lam)
-        for v in cl.base_vars():
-            for atom in (VarConst(v, Relation.GE, lo), VarConst(v, Relation.LT, hi)):
-                if atom not in present:
-                    lam.append(atom)
-        out.append(Clause.make(lam, cl.gamma, cl.delta))
-    return cs._replace(mode=MODE_BD, clauses=tuple(out), skolems=())
+        present = [c for c in cl.lam if isinstance(c, VarConst)]
+        box = [
+            atom
+            for v in cl.base_vars()
+            for atom in (VarConst(v, Relation.GE, lo), VarConst(v, Relation.LT, hi))
+            if atom not in present
+        ]
+        out.append(Clause.make([*cl.lam, *box], cl.gamma, cl.delta))
+    return cs._replace(clauses=tuple(out))
 
 
 def encode_reachability(
@@ -384,17 +390,20 @@ def encode_reachability(
     """BSR(BD) clause set that is unsatisfiable iff the query is reachable.
 
     The automaton checked itself when it was built; the goal is checked here
-    against it, by the check ``region_reach`` shares.  The delay equations
-    of ``encode_fol_la`` are lowered here, and ``ClauseSet.validate`` admits
-    none outside ``folla`` mode.  The result is not validated here:
+    against it, by the check ``region_reach`` shares.  Every clause, the
+    goal included, is boxed into [0, lambda+1) before the delay equations
+    of ``encode_fol_la`` are lowered, so that each lowered clause is built
+    once, with its bounds.  ``ClauseSet.validate`` admits no delay equation
+    outside ``folla`` mode.  The result is not validated here:
     ``normalize`` validates the clause set it is given, so the encoding is
     checked where it enters the pipeline."""
     _check_goal(aut, query)
     if lam is None:
         lam = default_lambda(aut, query)
-    cs = lower_delay_clauses(encode_fol_la(aut), lam)
+    cs = encode_fol_la(aut)
     goal = Clause.make(query.constraint.atoms, [reach_atom(query.location, aut.clocks)], [])
-    return bound_clocks(cs._replace(clauses=(*cs.clauses, goal)), lam + 1)
+    cs = bound_clocks(cs._replace(clauses=(*cs.clauses, goal)), lam + 1)
+    return lower_delay_clauses(cs, lam)._replace(mode=MODE_BD, skolems=())
 
 
 # --- region-graph oracle ---------------------------------------------------

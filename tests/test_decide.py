@@ -8,11 +8,14 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsrsat import corpus, decide as decide_mod, regions
 from bsrsat.decide import (
     NaiveBudgetError,
     ResourceLimitError,
+    _DifferenceScreen,
     _candidates,
     _contexts,
     _ground_clause,
@@ -673,3 +676,84 @@ def test_chain_preorder_witness_matches_all_pairs(monkeypatch):
                     checked += 1
                     feasible += gamma is not None
     assert checked > 100 and 0 < feasible < checked
+
+
+# --- the difference screen ahead of Fourier-Motzkin ----------------------------
+
+
+def _screen_inputs(cs):
+    skolems, rats = sorted(cs.skolems), sorted(cs.rationals())
+    definitions = [(c.lam[0].skolem, c.lam[0].term) for c in cs.def_clauses()]
+    defs = [(GroundTerm.skolem(sk), Relation.EQ, t) for sk, t in definitions]
+    return skolems, rats, definitions, defs
+
+
+def test_screen_refutes_exactly_the_infeasible_pool_preorders(monkeypatch):
+    # over every slr draw of the benchmark's pool, Fourier-Motzkin runs once
+    # per feasible preorder and finds each feasible, and the screen refutes
+    # only infeasible ones
+    results = []
+
+    def recording_solve(sys, names=()):
+        results.append(solve_ground(sys, names))
+        return results[-1]
+
+    monkeypatch.setattr(decide_mod, "solve_ground", recording_solve)
+    rng = random.Random(1706)
+    preorders = refuted = fm_calls = contexts = 0
+    for i in range(1200):
+        raw = (corpus._raw_bd, corpus._raw_slr)[i % 2](rng)
+        if i % 2 == 0:
+            continue
+        cs = normalize(raw)
+        stats = SolveStats()
+        before = len(results)
+        contexts += sum(1 for _ in _contexts(cs, stats))
+        fm_calls += len(results) - before
+        assert None not in results[before:], i
+        preorders += stats.preorders
+        skolems, rats, definitions, defs = _screen_inputs(cs)
+        screen = _DifferenceScreen(skolems, rats, definitions)
+        for pre in enumerate_preorders(skolems, rats):
+            if not screen.admits(pre):
+                refuted += 1
+                assert _preorder_gamma(pre, defs, skolems) is None, (i, pre)
+    assert (preorders, refuted, fm_calls, contexts) == (18754, 12408, 6346, 6346)
+
+
+_SCREEN_SKOLEMS = ("s0", "s1", "s2")
+
+
+@st.composite
+def _definitions(draw):
+    """Definitions s = t over up to three Skolem constants: differences
+    s = t + c and s = c, and terms with a coefficient of 2 or -1/2 or with
+    two Skolem constants, which the screen leaves out."""
+    n = draw(st.integers(1, 3))
+    skolems = _SCREEN_SKOLEMS[:n]
+    constants = st.sampled_from([Fraction(k, 2) for k in range(-3, 4)])
+    out = []
+    for _ in range(draw(st.integers(0, 3))):
+        names = draw(st.lists(st.sampled_from(skolems), max_size=2, unique=True))
+        coeffs = {sk: draw(st.sampled_from([Fraction(1), Fraction(1), Fraction(2), Fraction(-1, 2)]))
+                  for sk in names}
+        out.append((draw(st.sampled_from(skolems)), GroundTerm.make(draw(constants), coeffs)))
+    rats = draw(st.lists(st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1)]),
+                         max_size=2, unique=True))
+    return list(skolems), sorted(rats), out
+
+
+@settings(max_examples=80, deadline=None)
+@given(_definitions())
+def test_screen_never_refutes_a_feasible_preorder(drawn):
+    skolems, rats, definitions = drawn
+    defs = [(GroundTerm.skolem(sk), Relation.EQ, t) for sk, t in definitions]
+    differences = all(not t.coeffs or (len(t.coeffs) == 1 and t.coeffs[0][1] == 1)
+                      for _, t in definitions)
+    screen = _DifferenceScreen(skolems, rats, definitions)
+    for pre in enumerate_preorders(skolems, rats):
+        feasible = _preorder_gamma(pre, defs, skolems) is not None
+        if not screen.admits(pre):
+            assert not feasible, (pre, definitions)
+        elif differences:  # exact on difference-form definitions
+            assert feasible, (pre, definitions)

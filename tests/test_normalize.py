@@ -253,6 +253,21 @@ def test_eliminate_keeps_atom_variables():
     assert out.clauses == (cl,)
 
 
+def test_eliminate_drops_repeated_clauses_only():
+    # a clause given twice, and one that elimination makes equal to it, are
+    # dropped; clauses over the same variables with other constants stay
+    def bound(k):
+        return Clause.make([VarConst("x", Relation.LT, GroundTerm.constant(k))], [], [atom("P", "x")])
+
+    projected = Clause.make(
+        [VarConst("x", Relation.LT, GroundTerm.constant(1)), VarConst("y", Relation.GT, GroundTerm.constant(0))],
+        [],
+        [atom("P", "x")],
+    )
+    out = eliminate_constraint_only_vars(bd_set([bound(1), bound(2), bound(1), projected, bound(3)], {"P": (0, 1)}))
+    assert out.clauses == (bound(1), bound(2), bound(3))
+
+
 def _with_premise(cs, i, extra):
     """cs with clause i given the premise conjuncts extra as well."""
     cl = cs.clauses[i]

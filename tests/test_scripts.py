@@ -137,3 +137,15 @@ def test_decide_pool_times_the_automata_with_the_draws():
     listed = [line.split() for line in lines[lines.index("costliest 4:") + 1:]]
     assert {row[0] for row in listed} == {"bsr:0", "bsr:1", "ta:0", "ta:1"}
     assert {row[2] for row in listed} <= {"sat", "unsat"}
+
+
+def test_decide_pool_times_the_draws_from_their_text():
+    lines = run_script(["decide_pool.py", "--count", "4", "--text"])
+    assert lines[0] == "text to verdict, 4 draws, each stage the best of 3 passes:"
+    assert [line.split()[0] for line in lines[1:4]] == ["parse", "normalize", "decide"]
+    for line in lines[1:4]:
+        assert re.fullmatch(r"  \w+ +total +\d+\.\d{3}s  median +\d+\.\d{3}ms", line)
+    shares = re.fullmatch(r"middle 1 draws by total cost: parse (\S+) %, "
+                          r"normalize (\S+) %, decide (\S+) %", lines[4])
+    assert shares and abs(sum(map(float, shares.groups())) - 100) < 0.2
+    assert len(lines) == 5
